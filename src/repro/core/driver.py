@@ -30,15 +30,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence, Sized
 
 import numpy as np
 
 from ..kmachine.byz import (
+    ByzBudget,
     ByzConfig,
-    ByzantineError,
     aggregate_suspicions,
-    attribute_blame,
+    blame_attempt,
+    verify_answer,
 )
 from ..kmachine.errors import KMachineError
 from ..kmachine.faults import ByzantinePlan, FaultPlan
@@ -99,20 +100,24 @@ def _attempt_seed(seed: int | None, attempt: int) -> int | None:
 BACKENDS = ("sim", "net")
 
 
-def _build_simulator(backend: str, net_options: Any, **kwargs) -> Any:
-    """Construct the attempt's executor for ``backend``.
+def _build_simulator(
+    backend: str, net_options: Any, persistent: bool = False, **kwargs
+) -> Any:
+    """Construct the executor for ``backend`` (drivers and sessions).
 
     ``"sim"`` is the in-process :class:`Simulator`; ``"net"`` the TCP
     backend (:class:`repro.runtime.net.NetSimulator`), which shares
     the constructor surface and raises ``ValueError`` for the features
     it cannot host (Byzantine plans, the unreliable layer, tracing,
     observers) rather than silently diverging.  Imported lazily so the
-    common path never touches the runtime package.
+    common path never touches the runtime package.  ``persistent``
+    keeps a net cluster resident across episodes, as the simulator's
+    retained contexts always are.
     """
     if backend == "net":
         from ..runtime.net import NetSimulator
 
-        return NetSimulator(options=net_options, **kwargs)
+        return NetSimulator(persistent=persistent, options=net_options, **kwargs)
     if backend != "sim":
         raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
     if net_options is not None:
@@ -120,128 +125,29 @@ def _build_simulator(backend: str, net_options: Any, **kwargs) -> Any:
     return Simulator(**kwargs)
 
 
-def _byz_answer_check(
-    boundaries: list[Keyed],
-    sizes: list[int],
-    accepted: np.ndarray | None,
-    total_lo: int,
-    total_hi: int,
-) -> tuple[str | None, list[int]]:
-    """Trusted-side answer invariant after a Byzantine-supervised run.
-
-    Exactness argument: every machine — liars included, because the
-    adversary sits on the NIC while the program code is honest —
-    outputs precisely its local keys at or below its believed
-    boundary.  If all machines agree on one boundary, the union of
-    outputs is the downward-closed set of every key ≤ boundary; if its
-    size lands in ``[total_lo, total_hi]`` it therefore contains the ℓ
-    globally smallest keys.  Any lie that corrupts the assembled
-    answer must break one of those two conditions, which this check
-    (running in the trusted driver, outside the adversary's reach)
-    observes directly.  Returns ``(error, mismatch_ranks)`` where the
-    mismatch list pins machines whose realised output contradicts the
-    leader's per-machine accepted tally — evidence a liar cannot fake
-    on behalf of an honest machine.
-    """
-    groups: dict[tuple[float, int], list[int]] = {}
-    for rank, boundary in enumerate(boundaries):
-        key = (float(boundary.value), int(boundary.id))
-        groups.setdefault(key, []).append(rank)
-    mismatch: set[int] = set()
-    problems: list[str] = []
-    if len(groups) > 1:
-        majority = max(groups.values(), key=len)
-        for ranks in groups.values():
-            if ranks is not majority:
-                mismatch.update(ranks)
-        problems.append(f"boundary disagreement across {len(groups)} values")
-    total = sum(sizes)
-    if not total_lo <= total <= total_hi:
-        problems.append(f"assembled {total} keys, want [{total_lo}, {total_hi}]")
-        if accepted is not None and len(accepted) == len(sizes):
-            mismatch.update(
-                rank
-                for rank in range(len(sizes))
-                if int(accepted[rank]) != sizes[rank]
-            )
-    if not problems:
-        return None, []
-    return "byzantine corruption: " + "; ".join(problems), sorted(mismatch)
-
-
-def _byz_suspects(
-    sup: "_Supervisor",
-    sim: Simulator,
-    f_eff: int,
-    leader_local: int | None,
-    mismatch: Iterable[int],
-    exc: KMachineError | None,
-) -> tuple[int, ...]:
-    """Local ranks to quarantine after one failed Byzantine attempt.
-
-    Trusts, in order: the raising machine's explicit suspect list
-    (when small enough that an ``f``-liar adversary could have framed
-    at most one honest machine), then output-vs-claim mismatches plus
-    aggregated suspicion weights via
-    :func:`repro.kmachine.byz.attribute_blame`.  With no leads at all
-    the attempt is retried without exclusions — the re-election and
-    fresh seed reshuffle the protocol, and the answer check never
-    accepts a corrupted run, so this only costs attempts.
-    """
-    if (
-        isinstance(exc, ByzantineError)
-        and exc.suspects
-        and len(exc.suspects) <= f_eff + 1
-    ):
-        return tuple(r for r in exc.suspects if 0 <= r < sup.k_eff)
-    mismatch = [r for r in mismatch if 0 <= r < sup.k_eff]
-    weights = aggregate_suspicions(sim.contexts)
-    if leader_local is None:
-        if not mismatch and not weights:
-            return ()
-        leader_local = 0
-    leader_orig = sup.survivors[leader_local]
-    repeat = sup.last_fail_leader is not None and sup.last_fail_leader == leader_orig
-    return attribute_blame(
-        mismatch=mismatch,
-        weights=weights,
-        f=f_eff,
-        leader=leader_local,
-        repeat_offender=repeat,
-    )
-
-
 class _Supervisor:
-    """Shared attempt-loop bookkeeping for the fault-tolerant drivers.
+    """Attempt-loop bookkeeping for :func:`_supervise`.
 
     The driver is the durable ingest layer: it holds the *full*
     dataset, so after a failed attempt it re-shards everything across
     the surviving machines and restarts the protocol.  Exactness of
     the final answer therefore survives crash-stop failures — no data
     dies with a machine.  Tracks the survivor set (original ranks),
-    the shrinking fault plan (fired crashes must not re-fire), merged
-    metrics across attempts, and the :class:`RecoveryInfo` trail.
+    both plans renumbered onto it (fired crashes must not re-fire),
+    merged metrics across attempts, and the :class:`RecoveryInfo` trail.
     """
 
     def __init__(
         self,
         k: int,
         faults: FaultPlan | None,
-        max_attempts: int,
-        byzantine: ByzantinePlan | None = None,
+        byzantine: ByzantinePlan | None,
     ) -> None:
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.survivors = list(range(k))
         self.plan = faults.restricted_to(k) if faults is not None else None
         self.byz_plan = byzantine.restricted_to(k) if byzantine is not None else None
-        self.max_attempts = max_attempts
         self.recovery = RecoveryInfo(attempts=0)
         self.metrics: Metrics | None = None
-        self.last_error: KMachineError | None = None
-        #: Original rank of the leader that presided over the previous
-        #: failed attempt (repeat-offender detection).
-        self.last_fail_leader: int | None = None
 
     @property
     def k_eff(self) -> int:
@@ -260,7 +166,8 @@ class _Supervisor:
         self, sim: Simulator, err: str, suspects: Iterable[int] = ()
     ) -> None:
         """Account a failed attempt: drop crashed ranks, quarantine
-        Byzantine ``suspects`` (local ranks), shrink both plans.
+        Byzantine ``suspects`` (local ranks), renumber both plans onto
+        the survivors (fired crashes drop out with their machines).
 
         Excluding a falsely-accused *honest* machine costs capacity
         only, never data — the driver re-shards the full dataset over
@@ -277,19 +184,151 @@ class _Supervisor:
         keep_local = [i for i in range(self.k_eff) if i not in gone]
         self.survivors = [self.survivors[i] for i in keep_local]
         if self.plan is not None:
-            if fired_local:
-                self.plan = self.plan.without_crashes(tuple(fired_local))
-            self.plan = self.plan.restricted_to(self.k_eff)
+            self.plan = self.plan.remap(keep_local)
         if self.byz_plan is not None:
             self.byz_plan = self.byz_plan.remap(keep_local)
 
-    def give_up(self, what: str, err: str) -> "KMachineError":
-        """The error to raise when no attempts remain."""
-        if self.last_error is not None:
-            return self.last_error
+    def give_up(
+        self, what: str, err: str, caught: KMachineError | None
+    ) -> KMachineError:
+        """The error to raise when no attempts remain: the final
+        attempt's own exception when it raised, else one naming ``err``."""
+        if caught is not None:
+            return caught
         return KMachineError(
             f"{what} failed after {self.recovery.attempts} attempts: {err}"
         )
+
+
+def _supervise(
+    what: str,
+    k: int,
+    seed: int | None,
+    rng: np.random.Generator,
+    *,
+    program: Callable[[str, ByzConfig | None, bool], Program],
+    inputs: Callable[[int, np.random.Generator], list],
+    answer: Callable[[Any], tuple[Sized, SelectionStats | None]],
+    want: tuple[int, int],
+    degrade: bool,
+    election: str,
+    faults: FaultPlan | None,
+    byzantine: ByzantinePlan | None,
+    defense: ByzBudget | None,
+    byz_timeout: int | None,
+    reliable: ReliabilityConfig | bool,
+    max_attempts: int,
+    attempt_max_rounds: int | None,
+    **sim_options: Any,
+) -> tuple[SimulationResult, Metrics, RecoveryInfo | None]:
+    """Run one protocol, retrying failed attempts: the drivers' one engine.
+
+    A run is *supervised* when a fault plan, the reliable layer or a
+    Byzantine defense (``defense``) is requested; an unsupervised run
+    gets one attempt whose exceptions propagate.  Each attempt derives
+    its seed and shard RNG (attempt 1 replays the historical stream),
+    its election mode (re-elections by minimum id, or ``f``-tolerantly
+    under a defense), its :class:`ByzConfig` for the surviving machines,
+    and a fresh simulator.  A failed attempt — an exception, incomplete
+    outputs, or an answer the trusted :func:`verify_answer` rejects —
+    fences crashed machines and :func:`blame_attempt`'s suspects, and
+    is retried over the survivors.  With ``degrade`` (and no defense),
+    an exhausted budget buys one last attempt of the simple method.
+
+    Per-call hooks: ``program(election, byz, degraded)`` builds the
+    attempt's protocol, ``inputs(k, rng)`` its shards, and
+    ``answer(output)`` returns one machine's answer keys and selection
+    statistics, whose sizes must total within ``want = (lo, hi)``.
+    ``sim_options`` (``backend``, ``net_options``, bandwidth and
+    observability knobs) pass through to :func:`_build_simulator`.
+    """
+    supervised = faults is not None or bool(reliable) or defense is not None
+    budget = 1
+    if supervised:
+        budget = max(max_attempts, defense.attempts) if defense else max_attempts
+        if budget < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+    sup = _Supervisor(k, faults, byzantine)
+    caught: KMachineError | None = None
+    last_fail_leader: int | None = None  # original rank
+    while True:
+        attempt = sup.recovery.attempts + 1
+        if sup.k_eff < 1:
+            raise sup.give_up(what, "every machine crashed", caught)
+        shard_rng = rng  # attempt 1 preserves the historical stream
+        election_mode = election
+        if attempt > 1:
+            shard_rng = np.random.default_rng(_attempt_seed(seed, attempt))
+            if election == "fixed":
+                election_mode = "min_id" if defense is None else "f_tolerant"
+        byz_cfg = None if defense is None else defense.config(sup.k_eff, byz_timeout)
+        sim = _build_simulator(
+            k=sup.k_eff,
+            program=program(election_mode, byz_cfg, sup.recovery.degraded),
+            inputs=inputs(sup.k_eff, shard_rng),
+            seed=_attempt_seed(seed, attempt),
+            max_rounds=attempt_max_rounds if attempt_max_rounds is not None else 1_000_000,
+            faults=sup.plan,
+            byzantine=sup.byz_plan,
+            reliable=reliable or None,
+            **sim_options,
+        )
+        err: str | None = None
+        caught = None
+        result: SimulationResult | None = None
+        if supervised:
+            try:
+                result = sim.run()
+            except KMachineError as exc:
+                caught = exc
+                err = f"{type(exc).__name__}: {exc}"
+        else:
+            result = sim.run()
+        leader: int | None = None
+        mismatch: list[int] = []
+        if result is not None and any(out is None for out in result.outputs):
+            err = "incomplete outputs (machine crashed after peers finished)"
+        elif result is not None and defense is not None:
+            outputs = result.outputs
+            leader = next((r for r, out in enumerate(outputs) if out.is_leader), None)
+            shaped = [answer(out) for out in outputs]
+            stats = None if leader is None else shaped[leader][1]
+            verdict = verify_answer(
+                [out.boundary for out in outputs],
+                [len(keys) for keys, _ in shaped],
+                None if stats is None else stats.accepted_counts,
+                *want,
+            )
+            if not verdict.ok:
+                err, mismatch = verdict.reason, verdict.mismatch
+        sup.charge(sim.metrics)
+        if err is None:
+            return result, sup.metrics, sup.recovery if supervised else None
+        suspects: tuple[int, ...] = ()
+        if byz_cfg is not None and sup.k_eff > 1:
+            suspects = blame_attempt(
+                caught,
+                mismatch,
+                aggregate_suspicions(sim.contexts),
+                byz_cfg.f,
+                leader,
+                (
+                    sup.survivors.index(last_fail_leader)
+                    if last_fail_leader in sup.survivors
+                    else None
+                ),
+            )
+            last_fail_leader = None if leader is None else sup.survivors[leader]
+        sup.record_failure(sim, err, suspects=suspects)
+        if sup.recovery.attempts >= budget:
+            if not degrade or defense is not None or sup.recovery.degraded:
+                raise sup.give_up(what, err, caught)
+            # Graceful degradation: Algorithm 2's sampling pipeline
+            # keeps failing — grant the simple method one last shot.
+            # Disabled under Byzantine supervision: the simple method
+            # has no hardened variant.
+            sup.recovery.degraded = True
+            budget += 1
 
 
 @dataclass
@@ -449,110 +488,39 @@ def distributed_select(
         raise ValueError(f"l={l} outside [0, {arr.size}]")
     rng = np.random.default_rng(seed)
     dataset = make_dataset(arr, rng=rng)
-    byz_requested = byzantine is not None or (
-        byzantine_f is not None and byzantine_f > 0
+    lo = min(l, arr.size)
+    hi = lo if slack <= 0 else min(arr.size, l + int(math.ceil(slack * l)))
+    result, metrics, recovery = _supervise(
+        "selection", k, seed, rng,
+        program=lambda election_mode, byz, _degraded: SelectionProgram(
+            l, election=election_mode, slack=slack,
+            timeout_rounds=timeout_rounds, byz=byz,
+        ),
+        inputs=lambda k_eff, shard_rng: _select_inputs(
+            dataset, k_eff, shard_rng, partitioner
+        ),
+        answer=lambda out: (out.selected, out.stats),
+        want=(lo, hi),
+        degrade=False,
+        election=election,
+        faults=faults,
+        byzantine=byzantine,
+        defense=ByzBudget.requested(byzantine, byzantine_f),
+        byz_timeout=timeout_rounds,
+        reliable=reliable,
+        max_attempts=max_attempts,
+        attempt_max_rounds=attempt_max_rounds,
+        backend=backend,
+        net_options=net_options,
+        bandwidth_bits=bandwidth_bits,
+        measure_compute=measure_compute,
+        cost_model=cost_model,
+        timeline=timeline,
+        trace=trace,
+        spans=spans,
+        observers=observers,
+        profile=profile,
     )
-    f_target = (
-        byzantine_f
-        if byzantine_f is not None
-        else (byzantine.f if byzantine is not None else 0)
-    )
-    supervised = faults is not None or bool(reliable) or byz_requested
-    budget = max(max_attempts, 2 * f_target + 2) if byz_requested else max_attempts
-    sup = _Supervisor(k, faults, budget if supervised else 1, byzantine=byzantine)
-
-    while True:
-        attempt = sup.recovery.attempts + 1
-        if sup.k_eff < 1:
-            raise sup.give_up("selection", "every machine crashed")
-        if attempt == 1:
-            shard_rng = rng  # preserves the historical fault-free stream
-            election_mode = election
-        else:
-            shard_rng = np.random.default_rng(_attempt_seed(seed, attempt))
-            if election == "fixed":
-                election_mode = "f_tolerant" if byz_requested else "min_id"
-            else:
-                election_mode = election
-        byz_cfg = None
-        f_eff = 0
-        if byz_requested:
-            f_eff = min(f_target, max(0, (sup.k_eff - 1) // 3))
-            byz_cfg = ByzConfig(
-                f=f_eff,
-                timeout_rounds=timeout_rounds if timeout_rounds is not None else 32,
-            )
-        sim = _build_simulator(
-            backend,
-            net_options,
-            k=sup.k_eff,
-            program=SelectionProgram(
-                l, election=election_mode, slack=slack,
-                timeout_rounds=timeout_rounds, byz=byz_cfg,
-            ),
-            inputs=_select_inputs(dataset, sup.k_eff, shard_rng, partitioner),
-            seed=_attempt_seed(seed, attempt),
-            bandwidth_bits=bandwidth_bits,
-            measure_compute=measure_compute,
-            cost_model=cost_model,
-            max_rounds=attempt_max_rounds if attempt_max_rounds is not None else 1_000_000,
-            faults=sup.plan,
-            byzantine=sup.byz_plan,
-            reliable=reliable or None,
-            timeline=timeline,
-            trace=trace,
-            spans=spans,
-            observers=observers,
-            profile=profile,
-        )
-        err: str | None = None
-        caught: KMachineError | None = None
-        result: SimulationResult | None = None
-        if supervised:
-            try:
-                result = sim.run()
-            except KMachineError as exc:
-                sup.last_error = exc
-                caught = exc
-                err = f"{type(exc).__name__}: {exc}"
-        else:
-            result = sim.run()
-        if result is not None and err is None and any(
-            out is None for out in result.outputs
-        ):
-            err = "incomplete outputs (machine crashed after peers finished)"
-        leader_local: int | None = None
-        mismatch: list[int] = []
-        if byz_requested and err is None and result is not None:
-            outputs = result.outputs
-            leader_local = next(
-                (r for r, out in enumerate(outputs) if out.is_leader), None
-            )
-            accepted = None
-            if leader_local is not None and outputs[leader_local].stats is not None:
-                accepted = outputs[leader_local].stats.accepted_counts
-            lo = min(l, arr.size)
-            hi = lo if slack <= 0 else min(
-                arr.size, l + int(math.ceil(slack * l))
-            )
-            err, mismatch = _byz_answer_check(
-                [out.boundary for out in outputs],
-                [len(out.selected) for out in outputs],
-                accepted, lo, hi,
-            )
-        sup.charge(sim.metrics)
-        if err is None:
-            break
-        suspects: tuple[int, ...] = ()
-        if byz_requested and sup.k_eff > 1:
-            suspects = _byz_suspects(sup, sim, f_eff, leader_local, mismatch, caught)
-            sup.last_fail_leader = (
-                sup.survivors[leader_local] if leader_local is not None else None
-            )
-        sup.record_failure(sim, err, suspects=suspects)
-        if sup.recovery.attempts >= sup.max_attempts:
-            raise sup.give_up("selection", err)
-
     merged = np.concatenate([out.selected for out in result.outputs])
     merged.sort(order=("value", "id"))
     leader_out = next(out for out in result.outputs if out.is_leader)
@@ -560,10 +528,10 @@ def distributed_select(
         values=merged["value"].copy(),
         ids=merged["id"].copy(),
         boundary=leader_out.boundary,
-        metrics=sup.metrics,
+        metrics=metrics,
         stats=leader_out.stats,
         raw=result,
-        recovery=sup.recovery if supervised else None,
+        recovery=recovery,
     )
 
 
@@ -677,15 +645,8 @@ def distributed_knn(
         raise ValueError(f"l={l} outside [1, {len(dataset)}]")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
-    byz_requested = byzantine is not None or (
-        byzantine_f is not None and byzantine_f > 0
-    )
-    f_target = (
-        byzantine_f
-        if byzantine_f is not None
-        else (byzantine.f if byzantine is not None else 0)
-    )
-    if byz_requested:
+    defense = ByzBudget.requested(byzantine, byzantine_f)
+    if defense is not None:
         if algorithm not in ("sampled", "unpruned"):
             raise ValueError(
                 f"byzantine hardening supports algorithms 'sampled' and "
@@ -695,120 +656,48 @@ def distributed_knn(
             raise ValueError("byzantine hardening requires safe_mode=True")
     metric_obj = get_metric(metric)
     query_arr = np.atleast_1d(np.asarray(query, dtype=np.float64))
-    supervised = faults is not None or bool(reliable) or byz_requested
-    budget_floor = max(max_attempts, 2 * f_target + 2) if byz_requested else max_attempts
-    sup = _Supervisor(k, faults, budget_floor if supervised else 1, byzantine=byzantine)
-    current_algorithm = algorithm
-    attempt_budget = sup.max_attempts
 
-    while True:
-        attempt = sup.recovery.attempts + 1
-        if sup.k_eff < 1:
-            raise sup.give_up("knn", "every machine crashed")
-        if attempt == 1:
-            shard_rng = rng  # preserves the historical fault-free stream
-            election_mode = election
-        else:
-            shard_rng = np.random.default_rng(_attempt_seed(seed, attempt))
-            if election == "fixed":
-                election_mode = "f_tolerant" if byz_requested else "min_id"
-            else:
-                election_mode = election
-        byz_cfg = None
-        f_eff = 0
-        if byz_requested:
-            f_eff = min(f_target, max(0, (sup.k_eff - 1) // 3))
-            byz_cfg = ByzConfig(
-                f=f_eff,
-                timeout_rounds=knobs.get("timeout_rounds") or 32,
-            )
-        shards = shard_dataset(
-            dataset, sup.k_eff, shard_rng, partitioner,
+    def program(
+        election_mode: str, byz: ByzConfig | None, degraded: bool
+    ) -> Program:
+        current = "simple" if degraded else algorithm
+        if current not in ("sampled", "unpruned"):
+            return knn_program_for(current, query_arr, l, metric_obj, election_mode)
+        hardening = {} if byz is None else {"byz": byz}
+        return knn_program_for(
+            current, query_arr, l, metric_obj, election_mode,
+            **knobs, **hardening,
+        )
+
+    result, metrics, recovery = _supervise(
+        "knn", k, seed, rng,
+        program=program,
+        inputs=lambda k_eff, shard_rng: shard_dataset(
+            dataset, k_eff, shard_rng, partitioner,
             metric=metric_obj, query=query_arr,
-        )
-        attempt_knobs = dict(knobs) if current_algorithm in ("sampled", "unpruned") else {}
-        if byz_cfg is not None and current_algorithm in ("sampled", "unpruned"):
-            attempt_knobs["byz"] = byz_cfg
-        program = knn_program_for(
-            current_algorithm, query_arr, l, metric_obj, election_mode,
-            **attempt_knobs,
-        )
-        sim = _build_simulator(
-            backend,
-            net_options,
-            k=sup.k_eff,
-            program=program,
-            inputs=shards,
-            seed=_attempt_seed(seed, attempt),
-            bandwidth_bits=bandwidth_bits,
-            measure_compute=measure_compute,
-            cost_model=cost_model,
-            max_rounds=attempt_max_rounds if attempt_max_rounds is not None else 1_000_000,
-            faults=sup.plan,
-            byzantine=sup.byz_plan,
-            reliable=reliable or None,
-            timeline=timeline,
-            trace=trace,
-            spans=spans,
-            observers=observers,
-            profile=profile,
-        )
-        err: str | None = None
-        caught: KMachineError | None = None
-        result: SimulationResult | None = None
-        if supervised:
-            try:
-                result = sim.run()
-            except KMachineError as exc:
-                sup.last_error = exc
-                caught = exc
-                err = f"{type(exc).__name__}: {exc}"
-        else:
-            result = sim.run()
-        if result is not None and err is None and any(
-            out is None for out in result.outputs
-        ):
-            err = "incomplete outputs (machine crashed after peers finished)"
-        leader_local: int | None = None
-        mismatch: list[int] = []
-        if byz_requested and err is None and result is not None:
-            outputs = result.outputs
-            leader_local = next(
-                (r for r, out in enumerate(outputs) if out.is_leader), None
-            )
-            accepted = None
-            if (
-                leader_local is not None
-                and outputs[leader_local].selection_stats is not None
-            ):
-                accepted = outputs[leader_local].selection_stats.accepted_counts
-            err, mismatch = _byz_answer_check(
-                [out.boundary for out in outputs],
-                [len(out.ids) for out in outputs],
-                accepted, l, l,
-            )
-        sup.charge(sim.metrics)
-        if err is None:
-            break
-        suspects: tuple[int, ...] = ()
-        if byz_requested and sup.k_eff > 1:
-            suspects = _byz_suspects(sup, sim, f_eff, leader_local, mismatch, caught)
-            sup.last_fail_leader = (
-                sup.survivors[leader_local] if leader_local is not None else None
-            )
-        sup.record_failure(sim, err, suspects=suspects)
-        if sup.recovery.attempts >= attempt_budget:
-            if current_algorithm != "simple" and not byz_requested:
-                # Graceful degradation: Algorithm 2's sampling pipeline
-                # keeps failing — grant the simple method one last shot.
-                # Disabled under Byzantine supervision: the simple
-                # method has no hardened variant.
-                current_algorithm = "simple"
-                sup.recovery.degraded = True
-                attempt_budget += 1
-                continue
-            raise sup.give_up("knn", err)
-
+        ),
+        answer=lambda out: (out.ids, out.selection_stats),
+        want=(l, l),
+        degrade=algorithm != "simple",
+        election=election,
+        faults=faults,
+        byzantine=byzantine,
+        defense=defense,
+        byz_timeout=knobs.get("timeout_rounds") or None,
+        reliable=reliable,
+        max_attempts=max_attempts,
+        attempt_max_rounds=attempt_max_rounds,
+        backend=backend,
+        net_options=net_options,
+        bandwidth_bits=bandwidth_bits,
+        measure_compute=measure_compute,
+        cost_model=cost_model,
+        timeline=timeline,
+        trace=trace,
+        spans=spans,
+        observers=observers,
+        profile=profile,
+    )
     outputs: list[KNNOutput] = result.outputs
     table = np.empty(
         sum(len(o.ids) for o in outputs), dtype=[("value", "f8"), ("id", "i8")]
@@ -834,8 +723,8 @@ def distributed_knn(
         points=all_points[order],
         labels=None if all_labels is None else all_labels[order],
         boundary=leader_out.boundary,
-        metrics=sup.metrics,
+        metrics=metrics,
         leader_output=leader_out,
         raw=result,
-        recovery=sup.recovery if supervised else None,
+        recovery=recovery,
     )

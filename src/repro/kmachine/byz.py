@@ -36,26 +36,39 @@ Defense layers
     a lying load/report scalar can do to placement decisions.
 4.  **Suspicion tracking + blame attribution**
     (:class:`SuspicionTracker`, :func:`aggregate_suspicions`,
-    :func:`attribute_blame`): protocol-level accusations are
-    aggregated by the recovery drivers, which compare wire claims
-    against realised per-machine outputs and exclude at most ``f``
-    suspects per failed attempt (falling back to the leader when
-    attribution is ambiguous — a lying leader can frame workers, but
-    it cannot survive two consecutive failed attempts).
+    :func:`attribute_blame`, :func:`blame_attempt`): protocol-level
+    accusations are aggregated by the recovery drivers, which compare
+    wire claims against realised per-machine outputs and exclude at
+    most ``f`` suspects per failed attempt (falling back to the leader
+    when attribution is ambiguous — a lying leader can frame workers,
+    but it cannot survive two consecutive failed attempts).
 
 None of these layers is trusted for *correctness* of the ℓ-NN answer.
 Correctness rides on an end-to-end invariant checked by the trusted
-driver/session: every honest machine adopted the same boundary, and
-the assembled answer has exactly ``min(ℓ, n)`` elements whose
-per-machine sizes match the leader's accepted bookkeeping.  Any lie
-that would corrupt the answer trips the invariant, and the attempt is
-retried with the suspects excluded.
+driver/session (:func:`verify_answer`): every honest machine adopted
+the same boundary, and the assembled answer has exactly ``min(ℓ, n)``
+elements whose per-machine sizes match the leader's accepted
+bookkeeping.  Any lie that would corrupt the answer trips the
+invariant, and the attempt is retried with the suspects excluded.
+The drivers (:mod:`repro.core.driver`) and the serving session
+(:mod:`repro.serve.session`) share this trusted-side policy —
+:class:`ByzBudget`, :func:`verify_answer`, :func:`blame_attempt` —
+so a one-shot query and a served one are judged by the same rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Iterable, Mapping
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Collection,
+    Generator,
+    Iterable,
+    Mapping,
+    NamedTuple,
+    Sequence,
+)
 
 import numpy as np
 
@@ -63,13 +76,20 @@ from .errors import FaultError
 from .machine import MachineContext
 from .schema import Echo, SuspicionNotice
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .faults import ByzantinePlan
+
 __all__ = [
     "ByzantineError",
+    "ByzBudget",
     "ByzConfig",
+    "Verdict",
     "SuspicionTracker",
     "suspicions",
     "aggregate_suspicions",
     "attribute_blame",
+    "blame_attempt",
+    "verify_answer",
     "recv_from",
     "recv_upto",
     "serve_gather",
@@ -236,7 +256,7 @@ def attribute_blame(
     mismatch: Iterable[int],
     weights: Mapping[int, int],
     f: int,
-    leader: int,
+    leader: int | None,
     repeat_offender: bool = False,
 ) -> tuple[int, ...]:
     """Decide whom a failed attempt should exclude.
@@ -249,18 +269,173 @@ def attribute_blame(
     against an honest leader — blame the leader, whose NIC is the only
     single point that can frame many workers at once.
     ``repeat_offender`` adds the leader unconditionally (same leader
-    presided over two consecutive failures).
+    presided over two consecutive failures).  With ``leader=None``
+    (not known) the leader fallbacks blame nobody.
     """
     cap = max(1, f)
     suspects = set(mismatch)
     if not suspects and weights:
         ranked = sorted(weights, key=lambda r: (-weights[r], r))
         suspects = set(ranked[:cap])
+    fallback = set() if leader is None else {leader}
     if not suspects or len(suspects) > cap:
-        suspects = {leader}
+        suspects = fallback
     if repeat_offender:
-        suspects.add(leader)
+        suspects |= fallback
     return tuple(sorted(suspects))
+
+
+def blame_attempt(
+    error: BaseException | None,
+    mismatch: Iterable[int],
+    weights: Mapping[int, int],
+    f: int,
+    leader: int | None,
+    last_fail_leader: int | None,
+    fenced: Collection[int] = frozenset(),
+) -> tuple[int, ...]:
+    """Whom one failed attempt fences: the drivers' and sessions' one rule.
+
+    ``leader`` presided over the attempt (``None`` when unknown, e.g.
+    the attempt raised before any output named it) and
+    ``last_fail_leader`` over the previous failed attempt; a leader
+    that presides over two failures in a row is a repeat offender.
+    ``fenced`` ranks are already out and are never blamed again.
+
+    1. The aborting machine's explicit ``ByzantineError.suspects``,
+       minus fenced ranks, when 1 to ``f + 1`` remain — few enough
+       that an ``f``-liar adversary framed at most one honest machine.
+       A repeat-offender leader joins them: otherwise a lying leader
+       could deflect blame onto one honest target per attempt forever.
+    2. Otherwise output-vs-claim ``mismatch`` and aggregated suspicion
+       ``weights`` via :func:`attribute_blame`.
+    3. With no evidence at all the attempt is retried without exclusion
+       — unless it raised under a known leader, which is then blamed.
+       Re-election and a fresh seed reshuffle the protocol, and the
+       trusted answer check never accepts a corrupted run, so an empty
+       verdict costs attempts only.
+    """
+    repeat = leader is not None and leader == last_fail_leader
+    if isinstance(error, ByzantineError):
+        explicit = {r for r in error.suspects if r not in fenced}
+        if 0 < len(explicit) <= f + 1:
+            if repeat and leader is not None:
+                explicit.add(leader)
+            return tuple(sorted(explicit))
+    mismatch = [r for r in mismatch if r not in fenced]
+    weights = {r: w for r, w in weights.items() if r not in fenced}
+    if not mismatch and not weights and (error is None or leader is None):
+        return ()
+    return attribute_blame(
+        mismatch=mismatch,
+        weights=weights,
+        f=f,
+        leader=leader,
+        repeat_offender=repeat,
+    )
+
+
+class Verdict(NamedTuple):
+    """Outcome of :func:`verify_answer`."""
+
+    ok: bool
+    #: ranks whose realised output contradicts the majority boundary or
+    #: the leader's accepted tally
+    mismatch: list[int]
+    #: why the answer was rejected (empty when ``ok``)
+    reason: str = ""
+
+
+def verify_answer(
+    boundaries: Sequence[Any | None],
+    sizes: Sequence[int],
+    accepted: Sequence[int] | None,
+    lo: int,
+    hi: int,
+) -> Verdict:
+    """Trusted-side exactness check of one assembled answer.
+
+    ``boundaries[r]``/``sizes[r]`` are machine ``r``'s believed
+    boundary key (``None`` for a machine that contributed nothing:
+    crashed or fenced) and its output size; ``accepted`` is the
+    leader's per-machine accepted tally.  Every machine — liars
+    included, because the adversary sits on the NIC while the program
+    code is honest — outputs precisely its local keys at or below its
+    believed boundary.  If all contributors agree on one boundary, the
+    union of outputs is the downward-closed set of every key ≤
+    boundary; if its size lands in ``[lo, hi]`` it therefore contains
+    the ℓ globally smallest keys.  Any lie that corrupts the answer
+    must break one of those two conditions, and the broken condition
+    names its suspects: minority boundary groups, or ranks whose
+    realised size contradicts the tally — evidence a liar cannot fake
+    on behalf of an honest machine.
+    """
+    groups: dict[tuple[float, int], list[int]] = {}
+    for rank, boundary in enumerate(boundaries):
+        if boundary is not None:
+            key = (float(boundary.value), int(boundary.id))
+            groups.setdefault(key, []).append(rank)
+    mismatch: set[int] = set()
+    problems: list[str] = []
+    if len(groups) > 1:
+        majority = max(groups.values(), key=len)
+        for ranks in groups.values():
+            if ranks is not majority:
+                mismatch.update(ranks)
+        problems.append(f"boundary disagreement across {len(groups)} values")
+    total = sum(sizes)
+    if not lo <= total <= hi:
+        problems.append(f"assembled {total} keys, want [{lo}, {hi}]")
+        if accepted is not None and len(accepted) == len(sizes):
+            mismatch.update(
+                rank
+                for rank, boundary in enumerate(boundaries)
+                if boundary is not None and int(accepted[rank]) != sizes[rank]
+            )
+    if not problems:
+        return Verdict(True, [])
+    return Verdict(
+        False, sorted(mismatch), "byzantine corruption: " + "; ".join(problems)
+    )
+
+
+@dataclass(frozen=True)
+class ByzBudget:
+    """A caller's Byzantine defense request, resolved once.
+
+    The prologue the drivers and the session share: whether a defense
+    was asked for at all, the requested ``f``, the attempt budget and
+    the per-run hardening config.
+    """
+
+    #: the requested defense budget: ``byzantine_f``, else the plan's
+    #: liar count
+    f: int
+
+    @classmethod
+    def requested(
+        cls, plan: "ByzantinePlan | None", f: int | None
+    ) -> "ByzBudget | None":
+        """The request behind a ``byzantine=``/``byzantine_f=`` pair;
+        ``None`` when neither a plan nor a positive ``f`` was given."""
+        if f is None:
+            return None if plan is None else cls(plan.f)
+        return cls(f) if f > 0 or plan is not None else None
+
+    @property
+    def attempts(self) -> int:
+        """Attempt budget: every failed attempt fences at least one
+        machine, and ``f`` liars plus the ambiguous-blame slack can
+        absorb at most ``2f + 1`` failures."""
+        return 2 * self.f + 2
+
+    def config(self, k: int, timeout_rounds: int | None = None) -> ByzConfig:
+        """Hardening for a ``k``-machine run, with ``f`` clamped to the
+        ``k >= 3f + 1`` quorum bound (as hard as the quorum math allows)."""
+        return ByzConfig(
+            f=min(self.f, max(0, (k - 1) // 3)),
+            timeout_rounds=32 if timeout_rounds is None else timeout_rounds,
+        )
 
 
 # ----------------------------------------------------------------------

@@ -51,7 +51,7 @@ crash (crash-stop)
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -238,11 +238,36 @@ class FaultPlan:
     def restricted_to(self, k: int) -> "FaultPlan":
         """A copy valid for a ``k``-machine run: events addressing ranks
         ``>= k`` (crashes, outages, link overrides) are dropped."""
+        return self.remap(range(k))
+
+    def remap(self, survivors: Sequence[int]) -> "FaultPlan":
+        """Renumber every rank-addressed event onto a survivor sub-cluster.
+
+        ``survivors`` lists the ranks retained, in the order they become
+        ranks ``0..len(survivors)-1`` of the restarted run; events that
+        address a machine not retained are dropped.  The recovery
+        drivers use this between attempts, so a planned event keeps
+        hitting the machine it named, never a survivor that inherited
+        its position.
+        """
+        position = {orig: new for new, orig in enumerate(survivors)}
         return replace(
             self,
-            crashes=tuple(c for c in self.crashes if c.rank < k),
-            outages=tuple(o for o in self.outages if o.a < k and o.b < k),
-            links={key: lf for key, lf in self.links.items() if key[0] < k and key[1] < k},
+            crashes=tuple(
+                replace(c, rank=position[c.rank])
+                for c in self.crashes
+                if c.rank in position
+            ),
+            outages=tuple(
+                replace(o, a=position[o.a], b=position[o.b])
+                for o in self.outages
+                if o.a in position and o.b in position
+            ),
+            links={
+                (position[src], position[dst]): lf
+                for (src, dst), lf in self.links.items()
+                if src in position and dst in position
+            },
         )
 
 
@@ -360,8 +385,9 @@ class ByzantinePlan:
 
         ``survivors`` lists the *original* ranks retained, in the order
         they become ranks ``0..len(survivors)-1`` of the restarted run.
-        Liars not among the survivors are dropped.  Mirrors how the
-        recovery drivers shrink a :class:`FaultPlan` between attempts.
+        Liars not among the survivors are dropped; the twin of
+        :meth:`FaultPlan.remap`, applied by the recovery drivers
+        between attempts.
         """
         position = {orig: new for new, orig in enumerate(survivors)}
         kept = tuple(

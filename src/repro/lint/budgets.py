@@ -21,12 +21,10 @@ loops, iteration over gathered dicts) are declared at the source with
 theorem that justifies them; an undeclared opaque loop makes the
 budget UNBOUNDED, which exceeds every declared class and trips KM007.
 
-This module is import-light on purpose: the linter never imports the
-code under analysis, and in particular must not pull in numpy via
-``repro.obs``.  The declared classes therefore live twice — in
-:data:`DECLARED_ENTRY_CLASSES` here and in
-``repro.obs.conformance.DECLARED_MESSAGE_CLASSES`` — with a unit test
-asserting the two tables agree.
+The declared classes live once, in :data:`DECLARED_ENTRY_CLASSES`
+here (this module imports only the standard library);
+``repro.obs.conformance.DECLARED_MESSAGE_CLASSES`` is the same table,
+imported.
 """
 
 from __future__ import annotations
@@ -255,13 +253,13 @@ ENTRY_POINTS: dict[str, tuple[str, str]] = {
     ),
 }
 
-#: entry name -> {f=0 class, f>0 class}, mirroring the runtime budgets
-#: in ``repro.obs.conformance`` (selection/knn O(k log n); update
-#: 3(k−1)+targets = O(k); rebalance k·(k−1) plan fan-out plus (k−1)
-#: selection re-runs = O(k² log n); every byz-wrapped driver pays the
-#: O(k)-per-gather echo quorum on top).  A unit test diffs this table
-#: against ``repro.obs.conformance.DECLARED_MESSAGE_CLASSES`` so the
-#: two can never drift apart.
+#: entry name -> {f=0 class, f>0 class}, the classes the runtime
+#: budgets in ``repro.obs.conformance`` bound concretely (selection/knn
+#: O(k log n); update 3(k−1)+targets = O(k); rebalance k·(k−1) plan
+#: fan-out plus (k−1) selection re-runs = O(k² log n); every
+#: byz-wrapped driver pays the O(k)-per-gather echo quorum on top).
+#: The conformance monitor imports this table as
+#: ``DECLARED_MESSAGE_CLASSES``.
 DECLARED_ENTRY_CLASSES: dict[str, dict[str, str]] = {
     "algorithm1": {"f0": "k log", "byz": "k^2 log"},
     "algorithm2": {"f0": "k log", "byz": "k^2 log"},

@@ -38,6 +38,7 @@ from ..analysis.theory import (
     selection_message_bound,
 )
 from ..kmachine.metrics import Metrics
+from ..lint.budgets import DECLARED_ENTRY_CLASSES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.driver import KNNResult, SelectResult
@@ -68,31 +69,11 @@ __all__ = [
 ]
 
 #: Asymptotic message classes of each protocol entry point, in the
-#: plain (``f0``) and quorum-verified (``byz``) regimes.  This is the
-#: runtime-monitor-side declaration of the budgets the numeric
-#: ``*_message_budget`` functions above bound concretely; the static
-#: analyzer keeps a mirror in
-#: ``repro.lint.budgets.DECLARED_ENTRY_CLASSES`` (it must not import
-#: numpy-backed modules), and a unit test diffs the two tables.
-DECLARED_MESSAGE_CLASSES: dict[str, dict[str, str]] = {
-    "algorithm1": {"f0": "k log", "byz": "k^2 log"},
-    "algorithm2": {"f0": "k log", "byz": "k^2 log"},
-    "update": {"f0": "k", "byz": "k^2"},
-    # k−1 splitter selections, each quorum-scaled under byz
-    # (rebalance_message_budget charges `runs × selection bound`).
-    "rebalance": {"f0": "k^2 log", "byz": "k^3 log"},
-    # Binomial merge: one block per machine over ⌈log₂k⌉ steps.  The
-    # static analyzer sees a send inside a log-length loop on every
-    # worker (k·log); the exact count is k−1.  No byz path is wired —
-    # clustering is advisory (it steers placement/routing, never
-    # answers), so its class is identical in both regimes.
-    "coreset": {"f0": "k log", "byz": "k log"},
-    # coreset + CenterSet broadcast + AssignStats gather = 3(k−1).
-    "clustering": {"f0": "k log", "byz": "k log"},
-    # One all-to-all migration (k(k−1) envelopes) + (k−1) acks; a
-    # fault-plan session falls back to the id-space rebalancer.
-    "locality_rebalance": {"f0": "k^2", "byz": "k^2"},
-}
+#: plain (``f0``) and quorum-verified (``byz``) regimes — the classes
+#: the numeric ``*_message_budget`` functions above bound concretely.
+#: One table, owned by the static analyzer
+#: (:data:`repro.lint.budgets.DECLARED_ENTRY_CLASSES`).
+DECLARED_MESSAGE_CLASSES = DECLARED_ENTRY_CLASSES
 
 #: Rounds one Algorithm-1 iteration can cost: pivot round-trip (2) +
 #: count broadcast/gather (2).

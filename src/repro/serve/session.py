@@ -28,11 +28,11 @@ admission decisions on their own track next to the protocol phases.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Generator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Sequence
 
 import numpy as np
 
-from ..core.driver import DEFAULT_BANDWIDTH_BITS
+from ..core.driver import DEFAULT_BANDWIDTH_BITS, _build_simulator
 from ..core.knn import KNNOutput, knn_subroutine
 from ..core.leader import elect
 from ..core.messages import tag
@@ -45,16 +45,17 @@ from ..dyn.balance import (
 from ..dyn.epochs import EpochLog
 from ..dyn.updates import MutationRecord, UpdateProgram
 from ..kmachine.byz import (
-    ByzConfig,
     ByzantineError,
+    ByzBudget,
+    ByzConfig,
     aggregate_suspicions,
-    attribute_blame,
+    blame_attempt,
+    verify_answer,
 )
 from ..kmachine.errors import FaultError
 from ..kmachine.faults import ByzantinePlan
 from ..kmachine.machine import MachineContext, Program
 from ..kmachine.metrics import Metrics
-from ..kmachine.simulator import Simulator
 from ..points.dataset import Dataset, make_dataset
 from ..points.ids import Keyed, draw_unique_ids
 from ..points.metrics import Metric, get_metric
@@ -299,23 +300,15 @@ class ClusterSession:
         self.sample_factor = sample_factor
         self.cutoff_factor = cutoff_factor
         # -- Byzantine hardening (see DESIGN.md §11) -------------------
-        byz_requested = byzantine is not None or (
-            byzantine_f is not None and byzantine_f > 0
-        )
-        if byz_requested and not safe_mode:
+        defense = ByzBudget.requested(byzantine, byzantine_f)
+        if defense is not None and not safe_mode:
             raise ValueError("byzantine hardening requires safe_mode=True")
-        f_target = (
-            byzantine_f
-            if byzantine_f is not None
-            else (byzantine.f if byzantine is not None else 0)
-        )
-        f_eff = min(int(f_target), max(0, (k - 1) // 3))
         self._byz_plan = byzantine.restricted_to(k) if byzantine is not None else None
         self._byz_cfg = (
-            ByzConfig(f=f_eff, timeout_rounds=byzantine_timeout_rounds)
-            if byz_requested
-            else None
+            None if defense is None else defense.config(k, byzantine_timeout_rounds)
         )
+        #: attempt budget per operation (see :attr:`ByzBudget.attempts`)
+        self._byz_budget = 0 if defense is None else defense.attempts
         #: ranks convicted of lying and fenced off (crashed + excluded
         #: from every quorum; their points live on in healthy shards)
         self.quarantined: set[int] = set()
@@ -352,22 +345,11 @@ class ClusterSession:
             profile=profile,
             byzantine=self._byz_plan,
         )
-        if backend == "net":
-            # The TCP runtime keeps the cluster resident across
-            # episodes exactly like the simulator's retained contexts;
-            # it rejects the features it cannot host (Byzantine plans,
-            # tracing) with a ValueError at construction.
-            from ..runtime.net import NetSimulator
-
-            self._sim = NetSimulator(
-                persistent=True, options=net_options, **sim_kwargs
-            )
-        elif backend == "sim":
-            if net_options is not None:
-                raise ValueError('net_options only applies to backend="net"')
-            self._sim = Simulator(**sim_kwargs)
-        else:
-            raise ValueError(f"unknown backend {backend!r}; known: ('sim', 'net')")
+        # The TCP runtime rejects the features it cannot host
+        # (Byzantine plans, tracing) with a ValueError at construction.
+        self._sim = _build_simulator(
+            backend, net_options, persistent=True, **sim_kwargs
+        )
         #: whether per-link counters + round detail are being recorded
         self.profile = profile
         init = self._sim.run()
@@ -386,7 +368,10 @@ class ClusterSession:
         self.loads: list[int] = [len(s) for s in shards]
         #: accounting for every mutation episode (budget checks read this)
         self.mutations: list[MutationRecord] = []
-        self.monitor = ImbalanceMonitor(threshold=balance_threshold, robust_f=f_eff)
+        self.monitor = ImbalanceMonitor(
+            threshold=balance_threshold,
+            robust_f=0 if self._byz_cfg is None else self._byz_cfg.f,
+        )
         self.auto_rebalance = auto_rebalance
         # Insert ids must be unique against everything ever assigned; a
         # dedicated stream (seed offset 2) keeps query/election seeding
@@ -659,13 +644,6 @@ class ClusterSession:
     # points), and any corrupting lie trips the check, convicts a
     # suspect, and replays the query with the suspect fenced off.
 
-    @property
-    def _byz_budget(self) -> int:
-        """Attempt budget per operation: each failed attempt fences at
-        least one machine, and ``f`` liars plus the ambiguous-blame
-        slack can absorb at most ``2f + 1`` failures."""
-        return 2 * self._byz_cfg.f + 2
-
     def _reset_suspicions(self) -> None:
         """Clear per-machine accusation ledgers before an attempt so
         blame attribution weighs only the evidence of that attempt."""
@@ -721,15 +699,27 @@ class ClusterSession:
             self.batches += 1
             failed: list[QueryJob] = []
             mismatch: set[int] = set()
-            if caught is None:
+            if result is not None:
                 assembled = self._assemble(pending, result.outputs)
                 for i, (job, answer) in enumerate(zip(pending, assembled)):
-                    ok, bad_ranks = self._verify_query(i, result.outputs)
-                    if ok:
+                    # crashed or fenced machines contribute nothing
+                    outs = [None if per is None else per[i][0] for per in result.outputs]
+                    stats = next(
+                        (o.selection_stats for o in outs if o is not None and o.is_leader),
+                        None,
+                    )
+                    verdict = verify_answer(
+                        [None if o is None else o.boundary for o in outs],
+                        [0 if o is None else len(o.ids) for o in outs],
+                        None if stats is None else stats.accepted_counts,
+                        self.l,
+                        self.l,
+                    )
+                    if verdict.ok:
                         answers[job.qid] = answer
                     else:
                         failed.append(job)
-                        mismatch |= bad_ranks
+                        mismatch.update(verdict.mismatch)
             else:
                 failed = pending
             if not failed:
@@ -739,11 +729,9 @@ class ClusterSession:
                     f"batch unverified after {budget} attempts "
                     f"({len(failed)} of {len(jobs)} queries failing)"
                 )
-            suspects = self._byz_suspects(caught, mismatch)
-            self._last_fail_leader = self.leader
             self.mark(tag("byz", "retry", self.batches))
             fenced_before = len(self.quarantined)
-            self._quarantine(suspects)
+            self._quarantine(self._blame(caught, mismatch))
             if len(self.quarantined) == fenced_before:
                 stretch *= 2
             pending = failed
@@ -751,92 +739,45 @@ class ClusterSession:
             rec.close(dispatch_span)
         return [answers[job.qid] for job in jobs]
 
-    def _verify_query(
-        self, index: int, outputs: list
-    ) -> tuple[bool, set[int]]:
-        """Trusted-side exactness check for one served query.
-
-        Every machine outputs precisely its local keys ``<=`` its
-        believed boundary (honest code, so this holds on liars too).
-        If all contributing machines report the *same* boundary and
-        the assembled total is exactly ``l``, the union is the
-        downward-closed ℓ-prefix of the global key order — the exact
-        answer.  Any corrupting lie must break one of the two
-        conditions; the broken condition names its suspects (minority
-        boundary groups, or ranks whose realised count contradicts the
-        leader's accepted bookkeeping).
-        """
-        contrib: list[tuple[int, KNNOutput]] = []
-        for rank, per_machine in enumerate(outputs):
-            if per_machine is None:  # crashed or quarantined
-                continue
-            contrib.append((rank, per_machine[index][0]))
-        groups: dict[tuple[float, int], list[int]] = {}
-        total = 0
-        leader_out: KNNOutput | None = None
-        for rank, out in contrib:
-            total += len(out.ids)
-            key = (float(out.boundary.value), int(out.boundary.id))
-            groups.setdefault(key, []).append(rank)
-            if out.is_leader:
-                leader_out = out
-        ok = True
-        mismatch: set[int] = set()
-        if len(groups) > 1:
-            ok = False
-            majority = max(groups.values(), key=len)
-            for ranks in groups.values():
-                if ranks is not majority:
-                    mismatch.update(ranks)
-        if total != self.l:
-            ok = False
-            stats = None if leader_out is None else leader_out.selection_stats
-            accepted = getattr(stats, "accepted_counts", None)
-            if accepted is not None and len(accepted) == self.k:
-                for rank, out in contrib:
-                    if int(accepted[rank]) != len(out.ids):
-                        mismatch.add(rank)
-        return ok, mismatch
-
-    def _byz_suspects(
-        self, caught: FaultError | None, mismatch: set[int]
+    def _blame(
+        self, caught: FaultError | None, mismatch: Iterable[int] = ()
     ) -> tuple[int, ...]:
-        """Whom to fence after a failed attempt (mirrors the batch
-        driver's layered attribution; see ``attribute_blame``)."""
-        f = self._byz_cfg.f
-        if isinstance(caught, ByzantineError) and caught.suspects:
-            explicit = [
-                r
-                for r in caught.suspects
-                if 0 <= r < self.k and r not in self.quarantined
-            ]
-            if 0 < len(explicit) <= f + 1:
-                # Unlike the batch drivers, a session keeps its leader
-                # across attempts — a lying leader could deflect blame
-                # onto one honest accusation target per attempt forever.
-                # Two consecutive failures under the same leader fence
-                # the leader alongside the explicit evidence.
-                if (
-                    self._last_fail_leader == self.leader
-                    and self.leader not in explicit
-                    and self.leader not in self.quarantined
-                ):
-                    explicit.append(self.leader)
-                return tuple(sorted(set(explicit)))
-        weights = aggregate_suspicions(
-            self._sim.contexts, exclude=frozenset(self.quarantined)
+        """Whom to fence after a failed attempt (:func:`blame_attempt`,
+        the rule the batch drivers apply too); records the presiding
+        leader for the repeat-offender clause."""
+        suspects = blame_attempt(
+            caught,
+            mismatch,
+            aggregate_suspicions(self._sim.contexts),
+            self._byz_cfg.f,
+            self.leader,
+            self._last_fail_leader,
+            self.quarantined,
         )
-        clean_mismatch = [r for r in mismatch if r not in self.quarantined]
-        if caught is None and not clean_mismatch and not weights:
-            return ()  # nothing attributable: retry without exclusion
-        repeat = self._last_fail_leader == self.leader
-        return attribute_blame(
-            mismatch=clean_mismatch,
-            weights=weights,
-            f=f,
-            leader=self.leader,
-            repeat_offender=repeat,
-        )
+        self._last_fail_leader = self.leader
+        return suspects
+
+    def _run_byz_episode(
+        self, build: Callable[[], Program]
+    ) -> tuple[Any, FaultError | None]:
+        """Run one hardened control episode within the attempt budget.
+
+        Each failed attempt fences :meth:`_blame`'s suspects before the
+        next, so ``build`` must re-read ``self.leader``.  Returns the
+        leader's output, or ``None`` and the last attempt's error once
+        the budget is spent.
+        """
+        exc: FaultError | None = None
+        for _ in range(self._byz_budget):
+            self._reset_suspicions()
+            try:
+                result = self._sim.run_episode(build())
+            except FaultError as err:
+                exc = err
+                self._quarantine(self._blame(err))
+                continue
+            return result.outputs[self.leader], None
+        return None, exc
 
     def _quarantine(self, ranks: Sequence[int]) -> None:
         """Fence convicted ranks and restore a clean protocol state.
@@ -1028,19 +969,9 @@ class ClusterSession:
             # than raising — the audit keeps the shards a valid
             # partition either way, and later episodes (with the liars
             # fenced) restore balance.
-            leader_out = None
-            for _ in range(self._byz_budget):
-                self._reset_suspicions()
-                try:
-                    result = self._sim.run_episode(
-                        RebalanceProgram(self.leader, byz=self._byz_cfg)
-                    )
-                    leader_out = result.outputs[self.leader]
-                    break
-                except FaultError as exc:
-                    suspects = self._byz_suspects(exc, set())
-                    self._last_fail_leader = self.leader
-                    self._quarantine(suspects)
+            leader_out, _ = self._run_byz_episode(
+                lambda: RebalanceProgram(self.leader, byz=self._byz_cfg)
+            )
             self._audit_shards()
         record = MutationRecord(
             kind="rebalance",
@@ -1164,11 +1095,8 @@ class ClusterSession:
             # Bounded retry.  A failed attempt may have half-applied the
             # batch; _quarantine's audit rolls the shards back to the
             # pre-mutation mirror state, so every retry starts clean.
-            leader_out = None
-            budget = self._byz_budget
-            for attempt in range(budget):
-                self._reset_suspicions()
-                program = UpdateProgram(
+            leader_out, exc = self._run_byz_episode(
+                lambda: UpdateProgram(
                     self.leader,  # re-read: a retry may have re-elected
                     insert_ids=insert_ids,
                     insert_points=insert_points,
@@ -1176,18 +1104,11 @@ class ClusterSession:
                     delete_ids=delete_ids,
                     byz=self._byz_cfg,
                 )
-                try:
-                    result = self._sim.run_episode(program)
-                    leader_out = result.outputs[self.leader]
-                    break
-                except FaultError as exc:
-                    suspects = self._byz_suspects(exc, set())
-                    self._last_fail_leader = self.leader
-                    self._quarantine(suspects)
-                    if attempt == budget - 1:
-                        raise ByzantineError(
-                            f"update episode failed after {budget} attempts"
-                        ) from exc
+            )
+            if exc is not None:
+                raise ByzantineError(
+                    f"update episode failed after {self._byz_budget} attempts"
+                ) from exc
             # Wire-reported loads/counts may be lies; ground truth only.
             deletes_applied = len(delete_ids)
         # Mirror the global set (shards hold the placed copies): queries

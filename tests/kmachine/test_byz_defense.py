@@ -17,11 +17,13 @@ import pytest
 from repro.dyn.balance import trimmed_ratio
 from repro.kmachine import FunctionProgram, Simulator
 from repro.kmachine.byz import (
+    ByzBudget,
     ByzConfig,
     ByzantineError,
     SuspicionTracker,
     aggregate_suspicions,
     attribute_blame,
+    blame_attempt,
     confirm_value,
     confirmed_broadcast,
     gather_quorum,
@@ -33,8 +35,11 @@ from repro.kmachine.byz import (
     selection_iteration_cap,
     serve_gather,
     suspicions,
+    verify_answer,
 )
 from repro.kmachine.errors import FaultError
+from repro.kmachine.faults import ByzantinePlan, Liar
+from repro.points.ids import Keyed
 from repro.kmachine.schema import Echo, SuspicionNotice
 
 
@@ -119,6 +124,76 @@ def test_attribute_blame_layers() -> None:
     assert attribute_blame(
         mismatch=[2], weights={}, f=2, leader=0, repeat_offender=True
     ) == (0, 2)
+    # an unknown leader is never a fallback target
+    assert attribute_blame(mismatch=[], weights={}, f=1, leader=None) == ()
+    assert attribute_blame(
+        mismatch=[2], weights={}, f=2, leader=None, repeat_offender=True
+    ) == (2,)
+
+
+def test_blame_attempt_explicit_suspects() -> None:
+    err = ByzantineError("abort", suspects=(3,))
+    # few enough explicit suspects: trusted as-is
+    assert blame_attempt(err, [], {}, f=1, leader=0, last_fail_leader=None) == (3,)
+    # the same leader presided over the previous failure: fenced too
+    assert blame_attempt(err, [], {}, f=1, leader=0, last_fail_leader=0) == (0, 3)
+    # unknown leader: no repeat-offender clause
+    assert blame_attempt(err, [], {}, f=1, leader=None, last_fail_leader=0) == (3,)
+    # fenced ranks are filtered *before* the f + 1 cap ...
+    wide = ByzantineError("abort", suspects=(1, 2, 3))
+    assert blame_attempt(
+        wide, [], {}, f=1, leader=0, last_fail_leader=None, fenced={1}
+    ) == (2, 3)
+    # ... and an all-fenced list falls through to the evidence layers
+    assert blame_attempt(
+        err, [], {5: 2}, f=1, leader=0, last_fail_leader=None, fenced={3}
+    ) == (5,)
+
+
+def test_blame_attempt_without_explicit_suspects() -> None:
+    # an answer-check failure with no evidence: retry without exclusion
+    assert blame_attempt(None, [], {}, f=1, leader=0, last_fail_leader=None) == ()
+    # a raised attempt with no evidence blames the known leader ...
+    boom = FaultError("timeout")
+    assert blame_attempt(boom, [], {}, f=1, leader=4, last_fail_leader=None) == (4,)
+    # ... but nobody when the leader is unknown
+    assert blame_attempt(boom, [], {}, f=1, leader=None, last_fail_leader=2) == ()
+    # fenced ranks never carry weight again
+    assert blame_attempt(
+        None, [1], {2: 5}, f=1, leader=0, last_fail_leader=None, fenced={1}
+    ) == (2,)
+
+
+def test_verify_answer() -> None:
+    b, other = Keyed(0.5, 7), Keyed(0.9, 3)
+    assert verify_answer([b, b, b], [2, 1, 1], [2, 1, 1], 4, 4) == (True, [], "")
+    # a minority boundary pins its ranks
+    verdict = verify_answer([b, other, b], [2, 1, 1], None, 4, 4)
+    assert not verdict.ok and verdict.mismatch == [1]
+    assert verdict.reason == (
+        "byzantine corruption: boundary disagreement across 2 values"
+    )
+    # a wrong total pins ranks whose size contradicts the leader's tally
+    verdict = verify_answer([b, b, b], [2, 3, 1], [2, 1, 1], 4, 4)
+    assert verdict == (
+        False, [1], "byzantine corruption: assembled 6 keys, want [4, 4]"
+    )
+    # non-contributing (fenced) ranks are skipped, slack widens [lo, hi]
+    assert verify_answer([b, None, b], [2, 0, 3], [2, 9, 3], 4, 6).ok
+
+
+def test_byz_budget_prologue() -> None:
+    assert ByzBudget.requested(None, None) is None
+    assert ByzBudget.requested(None, 0) is None
+    plan = ByzantinePlan(seed=1, liars=(Liar(2, "forge"),))
+    assert ByzBudget.requested(plan, None) == ByzBudget(1)
+    # an explicit f wins over the plan's liar count, even f = 0
+    assert ByzBudget.requested(plan, 0) == ByzBudget(0)
+    assert ByzBudget.requested(None, 2).attempts == 6
+    # f is clamped to the k >= 3f + 1 quorum bound per run
+    cfg = ByzBudget(5).config(7, timeout_rounds=6)
+    assert (cfg.f, cfg.timeout_rounds) == (2, 6)
+    assert ByzBudget(1).config(4).timeout_rounds == 32
 
 
 # -- robust reductions --------------------------------------------------

@@ -96,6 +96,19 @@ class TestFaultPlanQueries:
         assert small.outages == (Outage(0, 1, 0, 2),)
         assert set(small.links) == {(0, 1)}
 
+    def test_remap_follows_machines_onto_survivors(self):
+        plan = FaultPlan(
+            crashes=(Crash(1, 2), Crash(3, 40)),
+            outages=(Outage(2, 3, 0, 5), Outage(1, 2, 0, 5)),
+            links={(3, 0): LinkFaults(drop=0.1), (1, 0): LinkFaults(drop=0.2)},
+        )
+        # machine 1 is gone; survivors 0, 2, 3 become ranks 0, 1, 2
+        moved = plan.remap([0, 2, 3])
+        assert moved.crashes == (Crash(2, 40),)
+        assert moved.outages == (Outage(1, 2, 0, 5),)
+        assert moved.links == {(2, 0): LinkFaults(drop=0.1)}
+        assert moved.seed == plan.seed
+
 
 # ----------------------------------------------------------------------
 # injector decisions

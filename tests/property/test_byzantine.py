@@ -2,14 +2,16 @@
 
 Hypothesis draws a random adversary — up to ``⌊(k−1)/3⌋`` liars at
 random ranks, each with an independent random strategy — and drives it
-through the supervised drivers and a live churning session.  The two
+through the supervised drivers and a live churning session.  The
 properties every draw must satisfy:
 
 * **exactness** — the returned answer equals brute force, bit for bit;
   lying may cost attempts and messages but never correctness;
 * **termination** — the run completes within its attempt/round budgets
   (the test finishing at all is the witness; the attempt ceiling is
-  asserted explicitly).
+  asserted explicitly);
+* **agreement** — a one-shot driver query and the same query served by
+  a resident session return identical ids and distances.
 """
 
 from __future__ import annotations
@@ -76,6 +78,18 @@ def test_knn_exact_under_random_adversary(adv, seed) -> None:
     np.testing.assert_allclose(np.sort(result.distances), np.sort(d)[:l])
     attempts = 1 if result.recovery is None else result.recovery.attempts
     assert attempts <= 2 * plan.f + 2
+    # Differential: the same draw served by a resident session (same
+    # seed, hence the same ids) must give the driver's answer exactly.
+    session = ClusterSession(
+        points, l, k,
+        seed=seed,
+        byzantine=plan,
+        byzantine_f=plan.f,
+        byzantine_timeout_rounds=6,
+    )
+    (served,) = session.run_batch([QueryJob(qid=0, query=query)])
+    np.testing.assert_array_equal(served.ids, result.ids)
+    np.testing.assert_array_equal(served.distances, result.distances)
 
 
 @given(adv=adversaries(k_min=5, k_max=7), seed=st.integers(0, 2**10))

@@ -6,16 +6,21 @@ These pin the contracts the recovery layer depends on:
   rerunning a simulation replays every drop/duplicate/corrupt decision
   bit for bit;
 * a zero-probability plan is indistinguishable from no plan at all;
-* per-link FIFO order survives every fault except explicit reorder.
+* per-link FIFO order survives every fault except explicit reorder;
+* the supervised drivers survive any crash-stop plan that leaves a
+  machine standing: the answer stays exact, the attempts stay within
+  budget, and only planned machines are reported crashed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.driver import distributed_knn, distributed_select
 from repro.kmachine import (
     Crash,
     FaultPlan,
@@ -152,3 +157,57 @@ class TestFifo:
                   faults=plan, max_rounds=200).run()
         for link, seqs in order.items():
             assert seqs == sorted(seqs), f"link {link} violated FIFO: {seqs}"
+
+
+@st.composite
+def crash_runs(draw):
+    """(k, l, seed, crashes): up to k − 1 crash-stop events at distinct
+    ranks and random rounds, so at least one machine always survives."""
+    k = draw(st.integers(2, 6))
+    ranks = draw(
+        st.lists(st.integers(0, k - 1), min_size=1, max_size=k - 1, unique=True)
+    )
+    crashes = tuple(
+        Crash(rank=r, round=draw(st.integers(0, 40))) for r in ranks
+    )
+    return k, draw(st.integers(1, 12)), draw(st.integers(0, 2**16)), crashes
+
+
+class TestSupervisedCrashRecovery:
+    """Every crash that fires fails at most one attempt, so a budget of
+    one attempt per planned crash plus one always reaches an answer."""
+
+    @given(run=crash_runs())
+    @settings(max_examples=15, deadline=None)
+    def test_select_exact_under_random_crashes(self, run):
+        k, l, seed, crashes = run
+        values = np.random.default_rng(seed).uniform(0.0, 1.0, 120)
+        result = distributed_select(
+            values, l, k,
+            seed=seed,
+            faults=FaultPlan(seed=seed, crashes=crashes),
+            max_attempts=len(crashes) + 1,
+        )
+        np.testing.assert_array_equal(np.sort(result.values), np.sort(values)[:l])
+        rec = result.recovery
+        assert rec.attempts <= len(crashes) + 1 + int(rec.degraded)
+        assert set(rec.crashed) <= {c.rank for c in crashes}
+
+    @given(run=crash_runs())
+    @settings(max_examples=15, deadline=None)
+    def test_knn_exact_under_random_crashes(self, run):
+        k, l, seed, crashes = run
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(0.0, 1.0, (120, 2))
+        query = rng.uniform(0.0, 1.0, 2)
+        result = distributed_knn(
+            points, query, l, k,
+            seed=seed,
+            faults=FaultPlan(seed=seed, crashes=crashes),
+            max_attempts=len(crashes) + 1,
+        )
+        d = np.sqrt(((points - query) ** 2).sum(axis=1))
+        np.testing.assert_allclose(result.distances, np.sort(d)[:l])
+        rec = result.recovery
+        assert rec.attempts <= len(crashes) + 1 + int(rec.degraded)
+        assert set(rec.crashed) <= {c.rank for c in crashes}
