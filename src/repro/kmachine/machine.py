@@ -2,12 +2,19 @@
 
 Protocols in this reproduction are written as *generator programs*: a
 :class:`Program` subclass implements ``run(ctx)`` as a generator, and
-every bare ``yield`` ends the machine's current round.  Messages sent
+every ``yield`` ends the machine's current round.  Messages sent
 with :meth:`MachineContext.send` during round ``t`` are delivered to
 destination inboxes at the start of round ``t + 1`` (subject to link
 bandwidth).  This mirrors how synchronous message-passing algorithms
 are written on paper, while the :class:`repro.kmachine.simulator.
 Simulator` owns scheduling, delivery and accounting.
+
+A bare ``yield`` asks to be resumed next round.  A blocked
+:meth:`MachineContext.recv` instead yields a :class:`Wait` naming the
+tag it waits for and its deadline round; the scheduler may leave that
+generator parked until :meth:`MachineContext.ready` says a matching
+message, a crash notice or the deadline has arrived.  Parked rounds
+still elapse on the round clock; only the no-op resumes are skipped.
 
 A minimal echo program::
 
@@ -35,7 +42,25 @@ from .errors import AddressError, PeerCrashedError, ProtocolError
 from .message import Message
 from .sizing import SizingPolicy
 
-__all__ = ["MachineContext", "Program", "FunctionProgram", "NullObs", "NULL_OBS"]
+__all__ = ["MachineContext", "Program", "FunctionProgram", "NullObs", "NULL_OBS", "Wait"]
+
+
+class Wait:
+    """What a blocked :meth:`MachineContext.recv` yields.
+
+    ``tag`` is the awaited message tag (``None`` = any message) and
+    ``deadline`` the round at which the receive times out (``None`` =
+    never).  Schedulers pass it to :meth:`MachineContext.ready`.
+    """
+
+    __slots__ = ("tag", "deadline")
+
+    def __init__(self, tag: str | None, deadline: int | None) -> None:
+        self.tag = tag
+        self.deadline = deadline
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Wait(tag={self.tag!r}, deadline={self.deadline})"
 
 
 class _NullSpan:
@@ -129,6 +154,8 @@ class MachineContext:
         self._outbox: list[Message] = []
         #: messages delivered but not yet consumed by :meth:`take`
         self._pending: deque[Message] = deque()
+        #: per-tag count of ``_pending`` (only tags with a message)
+        self._pending_tags: dict[str, int] = {}
         #: scratch area for program results, also returned by the simulator
         self.result: Any = None
         #: count of messages this machine has sent (for metric assertions)
@@ -184,7 +211,35 @@ class MachineContext:
     # ------------------------------------------------------------------
     def deliver(self, messages: Iterable[Message]) -> None:
         """(Simulator hook) append newly arrived messages to the buffer."""
-        self._pending.extend(messages)
+        tags = self._pending_tags
+        for msg in messages:
+            self._pending.append(msg)
+            tags[msg.tag] = tags.get(msg.tag, 0) + 1
+
+    def clear_pending(self) -> int:
+        """(Simulator hook) discard the buffer; return how many it held."""
+        count = len(self._pending)
+        self._pending.clear()
+        self._pending_tags.clear()
+        return count
+
+    def ready(self, wait: Wait) -> bool:
+        """Whether resuming a receive parked on ``wait`` could progress.
+
+        True when a message with ``wait.tag`` is buffered (any message
+        for ``tag=None``), a crash notice has arrived, or the round
+        clock has reached ``wait.deadline``.  Otherwise the resume would
+        find nothing and yield again, so schedulers may skip it.
+        """
+        if wait.tag is None:
+            arrived = bool(self._pending)
+        else:
+            arrived = wait.tag in self._pending_tags
+        return (
+            arrived
+            or bool(self.crashed_peers)
+            or (wait.deadline is not None and self.round >= wait.deadline)
+        )
 
     def notice_crash(self, rank: int) -> None:
         """(Simulator hook) record that peer ``rank`` crashed.
@@ -201,11 +256,19 @@ class MachineContext:
         ``None`` matches anything.  Non-matching messages stay buffered
         so concurrent sub-protocols cannot steal each other's traffic.
         """
+        tags = self._pending_tags
+        if tag is not None and tag not in tags:
+            return []
         matched: list[Message] = []
         kept: deque[Message] = deque()
         for msg in self._pending:
             if (tag is None or msg.tag == tag) and (src is None or msg.src == src):
                 matched.append(msg)
+                left = tags[msg.tag] - 1
+                if left:
+                    tags[msg.tag] = left
+                else:
+                    del tags[msg.tag]
             else:
                 kept.append(msg)
         self._pending = kept
@@ -217,15 +280,18 @@ class MachineContext:
 
     def recv(
         self, tag: str, count: int, src: int | None = None, max_rounds: int | None = None
-    ) -> Generator[None, None, list[Message]]:
+    ) -> Generator[Wait, None, list[Message]]:
         """Generator: wait until ``count`` messages with ``tag`` arrive.
 
         Use as ``msgs = yield from ctx.recv("reply", k - 1)``.  Each
-        iteration that comes up short ends the round with a ``yield``.
-        ``max_rounds`` bounds the wait (raising :class:`ProtocolError`
-        on expiry); protocols pass a timeout when they want
-        missed-heartbeat-style failure detection, otherwise they rely
-        on the simulator's global ``max_rounds`` deadlock guard.
+        iteration that comes up short ends the round by yielding a
+        :class:`Wait` for ``tag``, so the scheduler may park the generator
+        until :meth:`ready`.  ``max_rounds`` bounds the wait in rounds
+        of the clock (raising :class:`ProtocolError` on expiry, in the
+        same round whether or not the generator was parked); protocols
+        pass a timeout when they want missed-heartbeat-style failure
+        detection, otherwise they rely on the simulator's global
+        ``max_rounds`` deadlock guard.
 
         Crash awareness: if a crash notification has arrived (see
         :meth:`notice_crash`) and the receive is still short, waiting
@@ -236,6 +302,8 @@ class MachineContext:
         for the supervisor to handle.
         """
         got: list[Message] = list(self.take(tag, src))
+        start = self.round
+        wait = Wait(tag, None if max_rounds is None else start + max_rounds)
         waited = 0
         while len(got) < count:
             if self.crashed_peers and (src is None or src in self.crashed_peers):
@@ -244,8 +312,10 @@ class MachineContext:
                     self.crashed_peers,
                     f"waiting for {count} {tag!r} messages, have {len(got)}",
                 )
-            yield
-            waited += 1
+            yield wait
+            # A parked generator skips rounds; the clock still counts
+            # them (a hand-driven one without a clock counts resumes).
+            waited = max(waited + 1, self.round - start)
             if max_rounds is not None and waited >= max_rounds:
                 raise ProtocolError(
                     f"machine {self.rank} waited {waited} rounds for {count} "
@@ -260,7 +330,7 @@ class MachineContext:
 
     def recv_one(
         self, tag: str, src: int | None = None, max_rounds: int | None = None
-    ) -> Generator[None, None, Message]:
+    ) -> Generator[Wait, None, Message]:
         """Generator: wait for exactly one message with ``tag``."""
         msgs = yield from self.recv(tag, 1, src=src, max_rounds=max_rounds)
         return msgs[0]

@@ -75,6 +75,13 @@ class Metrics:
     simulated_seconds:
         ``compute_seconds + comm_seconds`` — the modelled wall-clock
         used by the Figure 2 reproduction.
+    max_link_queue_bits:
+        Peak *network-wide* backlog: after each round's network step
+        the simulator reads the bits still queued summed over every
+        link (:meth:`~repro.kmachine.network.Network.queued_bits`) and
+        keeps the maximum.  Despite the name it is not a per-link
+        figure; per-link peaks are
+        :attr:`~repro.kmachine.network.LinkStats.max_queue_bits`.
     fault_drops / fault_duplicates / fault_corruptions / fault_reorders:
         Messages affected by injected link faults (see
         :mod:`repro.kmachine.faults`).

@@ -7,7 +7,9 @@ loop.  One loop iteration is one synchronous round:
 1. messages that finished transmission last round are delivered to
    destination buffers;
 2. every still-running machine's program generator is resumed once
-   (its local computation for the round, optionally timed);
+   (its local computation for the round, optionally timed), except a
+   generator parked on a :class:`~repro.kmachine.machine.Wait` that is
+   not yet ready — that resume would only yield again;
 3. messages queued by :meth:`MachineContext.send` are submitted to the
    network, which drains each link at ``B`` bits per round.
 
@@ -42,7 +44,7 @@ import numpy as np
 
 from .errors import DeadlockError, FaultError, ProtocolError
 from .faults import ByzantinePlan, FaultInjector, FaultPlan
-from .machine import MachineContext, Program
+from .machine import MachineContext, Program, Wait
 from .message import Message
 from .metrics import Metrics, RoundRecord
 from .network import BandwidthPolicy, Network
@@ -317,6 +319,8 @@ class Simulator:
         if injector is not None:
             injector.bind(metrics, self.tracer)
         deliveries: dict[int, list[Message]] = {}
+        # what each machine's generator last yielded (a Wait parks it)
+        waits: list[Wait | None] = [None] * self.k
         staged_notices: list[int] = self._staged_notices
         self._staged_notices = []
         alive = sum(1 for g in generators if g is not None)
@@ -358,10 +362,7 @@ class Simulator:
                             injector.account_purge(msg, rank)
                         for msg in ctx.drain_outbox():
                             injector.account_purge(msg, rank)
-                        inbox = ctx.pending_count()
-                        if inbox:
-                            metrics.crash_drops += inbox
-                            ctx._pending.clear()
+                        metrics.crash_drops += ctx.clear_pending()
                         metrics.crashed.append((rank, round_idx))
                         self.tracer.record(round_idx, "crash", machine=rank)
                         if self.fault_plan.notify_crashes:
@@ -389,16 +390,21 @@ class Simulator:
                                 round_idx, "deliver", machine=dst, src=m.src, tag=m.tag
                             )
 
-                # 2. step every running machine once (logically concurrent)
+                # 2. step every running machine once (logically concurrent);
+                # a machine parked on a Wait that is not ready would only
+                # yield again, so its resume is skipped
                 compute_max = 0.0
                 for rank, gen in enumerate(generators):
                     if gen is None:
                         continue
                     ctx = self.contexts[rank]
                     ctx.round = round_idx
+                    wait = waits[rank]
+                    if wait is not None and not ctx.ready(wait):
+                        continue
                     started = time.perf_counter() if self.measure_compute else 0.0
                     try:
-                        next(gen)
+                        waits[rank] = next(gen)
                     except StopIteration as stop:
                         outputs[rank] = stop.value
                         if stop.value is not None:

@@ -61,6 +61,23 @@ class SizingPolicy:
 
 
 def _measure(obj: Any, policy: SizingPolicy) -> int:
+    # Fast path on the exact built-in types that dominate protocol
+    # payloads.  Subclasses (bool, IntEnum, NamedTuple, ...) and every
+    # other type take the general chain below, so counts are unchanged.
+    cls = type(obj)
+    if cls is tuple or cls is list:
+        bits = 0
+        for item in obj:
+            item_cls = type(item)
+            if item_cls is int or item_cls is float:
+                bits += policy.word_bits
+            else:
+                bits += _measure(item, policy)
+        return bits
+    if cls is int or cls is float:
+        return policy.word_bits
+    if cls is str:
+        return 8 * len(obj)
     if obj is None:
         return 1
     if isinstance(obj, bool) or isinstance(obj, np.bool_):

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ids import draw_unique_ids
+from .ids import _all_distinct, draw_unique_ids
 
 __all__ = ["Dataset", "Shard", "make_dataset"]
 
@@ -53,7 +53,7 @@ class Dataset:
             raise ValueError(
                 f"ids shape {self.ids.shape} does not match {len(self.points)} points"
             )
-        if np.unique(self.ids).size != self.ids.size:
+        if not _all_distinct(self.ids):
             raise ValueError("point ids must be distinct")
         if self.labels is not None:
             self.labels = np.asarray(self.labels)

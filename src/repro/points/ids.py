@@ -65,11 +65,21 @@ def draw_unique_ids(
     hi = id_space(n_total if n_total is not None else count)
     for _ in range(max_redraws):
         ids = rng.integers(1, hi + 1, size=count, dtype=np.int64)
-        if np.unique(ids).size == count:
+        if _all_distinct(ids):
             return ids
     # Astronomically unlikely; construct distinct IDs deterministically.
     base = rng.integers(1, hi - count, dtype=np.int64)
     return base + np.arange(count, dtype=np.int64)
+
+
+def _all_distinct(ids: np.ndarray) -> bool:
+    """Whether ``ids`` holds no repeated value.
+
+    Sorts and compares neighbours; for large int64 arrays this is far
+    cheaper than the hash-based ``np.unique``.
+    """
+    ordered = np.sort(ids)
+    return not bool(np.any(ordered[1:] == ordered[:-1]))
 
 
 class Keyed:

@@ -54,7 +54,7 @@ from ..kmachine.byz import (
 )
 from ..kmachine.errors import FaultError
 from ..kmachine.faults import ByzantinePlan
-from ..kmachine.machine import MachineContext, Program
+from ..kmachine.machine import MachineContext, Program, Wait
 from ..kmachine.metrics import Metrics
 from ..points.dataset import Dataset, make_dataset
 from ..points.ids import Keyed, draw_unique_ids
@@ -222,14 +222,20 @@ class ServeBatchProgram(Program):
         ]
         done: list[tuple[KNNOutput, int] | None] = [None] * len(queries)
         pending: list[Generator[None, None, KNNOutput] | None] = list(queries)
+        # what each query last yielded; a Wait not yet ready is skipped
+        # this sweep, since resuming it would only yield again
+        waits: list[Wait | None] = [None] * len(queries)
         remaining = len(pending)
         with ctx.obs.span(tag("serve", "batch", self.batch_index)):
             while remaining:
                 for i, gen in enumerate(pending):
                     if gen is None:
                         continue
+                    wait = waits[i]
+                    if wait is not None and not ctx.ready(wait):
+                        continue
                     try:
-                        next(gen)
+                        waits[i] = next(gen)
                     except StopIteration as stop:
                         done[i] = (stop.value, ctx.round)
                         pending[i] = None

@@ -10,6 +10,7 @@ from repro.points.ids import (
     MINUS_INF_KEY,
     PLUS_INF_KEY,
     Keyed,
+    _all_distinct,
     draw_unique_ids,
     id_space,
     keyed_array,
@@ -110,6 +111,17 @@ class TestDataset:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             Dataset(points=np.ones((2, 1)), ids=np.array([5, 5]))
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_duplicate_found_at_any_position(self, position):
+        # the copy lands at array index ``position`` and duplicates the
+        # smallest, the middle and the largest id in turn
+        ids = np.array([40, 10, 30, 20, 50])
+        assert _all_distinct(ids)
+        ids[position] = {0: 10, 2: 20, 4: 40}[position]
+        assert not _all_distinct(ids)
+        with pytest.raises(ValueError, match="point ids must be distinct"):
+            Dataset(points=np.ones((5, 1)), ids=ids)
 
     def test_id_length_mismatch(self):
         with pytest.raises(ValueError):
