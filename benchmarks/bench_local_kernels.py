@@ -61,15 +61,13 @@ def test_bench_alg2_leader_sample_sort(benchmark):
 
 
 def test_bench_range_count(benchmark, shard):
-    """One worker count reply: |{x : lo < x <= p}| via searchsorted."""
-    from repro.core.selection import _count_in
-    from repro.points.ids import Keyed
+    """One worker count reply: |{x : lo < x <= p}| via a KeyIndex bisect."""
+    from repro.points.ids import KeyIndex
 
     metric = get_metric("euclidean")
-    keys = local_candidates(shard, np.array([2.0**31]), PPM, metric)
-    lo = Keyed(float(keys["value"][100]), int(keys["id"][100]))
-    hi = Keyed(float(keys["value"][-100]), int(keys["id"][-100]))
-    count = benchmark(lambda: _count_in(keys, lo, hi))
+    index = KeyIndex(local_candidates(shard, np.array([2.0**31]), PPM, metric))
+    lo, hi = index.at(100), index.at(len(index) - 100)
+    count = benchmark(lambda: index.count(lo, hi))
     assert count > 0
 
 

@@ -30,6 +30,7 @@ from ..kmachine.machine import MachineContext, Program
 from ..kmachine.metrics import Metrics
 from ..kmachine.simulator import Simulator
 from ..points.dataset import Dataset, Shard, make_dataset
+from ..points.ids import key_order
 from ..points.metrics import Metric, get_metric
 from ..points.partition import shard_dataset
 from .driver import DEFAULT_BANDWIDTH_BITS
@@ -191,7 +192,7 @@ def distributed_knn_batch(
             if out.labels is not None:
                 label_parts.append(out.labels)
         table = np.concatenate(table_parts)
-        order = np.argsort(table, order=("value", "id"))
+        order = key_order(table)
         merged_labels = (
             np.concatenate(label_parts)[order] if label_parts else None
         )

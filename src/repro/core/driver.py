@@ -50,7 +50,7 @@ from ..kmachine.simulator import SimulationResult, Simulator
 from ..kmachine.timing import CostModel
 from ..kmachine.tracing import Tracer
 from ..points.dataset import Dataset, make_dataset
-from ..points.ids import Keyed
+from ..points.ids import Keyed, key_order
 from ..points.metrics import Metric, get_metric
 from ..points.partition import shard_dataset
 from .binary_search import BinarySearchKNNProgram
@@ -402,8 +402,7 @@ def _select_inputs(dataset: Dataset, k: int, rng, partitioner: str) -> list[np.n
         keys = np.empty(len(shard), dtype=[("value", "f8"), ("id", "i8")])
         keys["value"] = shard.points[:, 0]
         keys["id"] = shard.ids
-        keys.sort(order=("value", "id"))
-        inputs.append(keys)
+        inputs.append(keys[key_order(keys)])
     return inputs
 
 
@@ -522,7 +521,7 @@ def distributed_select(
         profile=profile,
     )
     merged = np.concatenate([out.selected for out in result.outputs])
-    merged.sort(order=("value", "id"))
+    merged = merged[key_order(merged)]
     leader_out = next(out for out in result.outputs if out.is_leader)
     return SelectResult(
         values=merged["value"].copy(),
@@ -713,7 +712,7 @@ def distributed_knn(
         if out.labels is not None:
             labels_parts.append(out.labels)
         offset += n
-    order = np.argsort(table, order=("value", "id"))
+    order = key_order(table)
     all_points = np.concatenate(rows) if rows else np.empty((0, dataset.dim))
     all_labels = np.concatenate(labels_parts) if labels_parts else None
     leader_out = next(out for out in outputs if out.is_leader)

@@ -61,11 +61,10 @@ import numpy as np
 from ..kmachine.machine import MachineContext, Program
 from ..kmachine.metrics import Metrics
 from ..points.dataset import Shard
-from ..points.ids import MINUS_INF_KEY, Keyed
+from ..points.ids import MINUS_INF_KEY, KeyIndex, Keyed, key_order
 from ..points.metrics import EuclideanMetric, Metric
 from .knn import KNNOutput, local_candidates
 from .messages import tag
-from .selection import _rank_leq
 
 __all__ = [
     "MachineBox",
@@ -329,7 +328,7 @@ class KDTreeKNNQueryProgram(Program):
                 for i, m in enumerate(cand_msgs):
                     merged[i] = m.payload
                 merged[expected:] = candidates
-                merged.sort(order=("value", "id"))
+                merged = merged[key_order(merged)]
                 top = merged[: min(l, len(merged))]
                 boundary = (
                     Keyed(float(top[-1]["value"]), int(top[-1]["id"]))
@@ -338,7 +337,7 @@ class KDTreeKNNQueryProgram(Program):
                 )
                 ctx.broadcast(t_done, (boundary.value, boundary.id))
                 yield
-                local = candidates[: _rank_leq(candidates, boundary)]
+                local = KeyIndex(candidates).prefix(boundary)
                 return _assemble(shard, local, boundary, True)
 
             if lb <= r0:
@@ -350,7 +349,7 @@ class KDTreeKNNQueryProgram(Program):
                 ctx.send(leader, t_cand, (float(row["value"]), int(row["id"])))
             msg = yield from ctx.recv_one(t_done, src=leader)
             boundary = Keyed(msg.payload[0], msg.payload[1])
-            local = candidates[: _rank_leq(candidates, boundary)]
+            local = KeyIndex(candidates).prefix(boundary)
             return _assemble(shard, local, boundary, False)
 
 

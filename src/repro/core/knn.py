@@ -56,11 +56,11 @@ from ..kmachine.byz import (
 )
 from ..kmachine.machine import MachineContext, Program
 from ..points.dataset import Shard
-from ..points.ids import Keyed
+from ..points.ids import KeyIndex, Keyed, key_order
 from ..points.metrics import Metric, get_metric
 from .leader import elect
 from .messages import decode_key, encode_key, log2_ceil, tag
-from .selection import SelectionStats, _rank_leq, selection_subroutine
+from .selection import SelectionStats, selection_subroutine
 
 __all__ = ["KNNOutput", "KNNProgram", "knn_subroutine", "local_candidates"]
 
@@ -144,8 +144,7 @@ def local_candidates(
     out = np.empty(len(keep), dtype=_KEY_DTYPE)
     out["value"] = dists[keep]
     out["id"] = shard.ids[keep]
-    out.sort(order=("value", "id"))
-    return out
+    return out[key_order(out)]
 
 
 def _safe_check_byz(
@@ -259,7 +258,7 @@ def knn_subroutine(
     if external_threshold is not None and ctx.k > 1:
         # Externally supplied pruning bound: skip sampling entirely.
         threshold = external_threshold
-        working = candidates[: _rank_leq(candidates, threshold)]
+        working = KeyIndex(candidates).prefix(threshold)
         if safe_mode:
             with ctx.obs.span("safe-check"):
                 if byz is not None:
@@ -337,16 +336,18 @@ def knn_subroutine(
                 msgs = yield from ctx.recv(
                     t_sample, (ctx.k - 1) * n_samples, max_rounds=timeout_rounds
                 )
-                pool = [decode_key(m.payload) for m in msgs if m.payload is not None]
-                pool.extend(Keyed(row["value"], row["id"]) for row in my_samples)
-                pool.sort()
-                sampled_total = len(pool)
+                # Plain (value, id) tuples sort like keys; only the
+                # threshold is decoded.
+                wires = [m.payload for m in msgs if m.payload is not None]
+                wires.extend(my_samples.tolist())
+                wires.sort()
+                sampled_total = len(wires)
             else:
+                # Each row is the (float, int) pair encode_key would
+                # build from it: same payload, same bits.
                 # lint: bound[log] — |my_samples| <= n_samples = O(log l)
-                for row in my_samples:
-                    ctx.send(
-                        leader, t_sample, encode_key(Keyed(row["value"], row["id"]))
-                    )
+                for wire in my_samples.tolist():
+                    ctx.send(leader, t_sample, wire)
                     if pace_samples:
                         yield
                 # lint: bound[log] — pads the emission count to n_samples
@@ -368,11 +369,11 @@ def knn_subroutine(
                     ctx, byz, t_thresh, encode_key(threshold)
                 )
             elif is_leader:
-                if not pool:
+                if not wires:
                     raise ValueError(
                         "no machine holds any point; cannot answer query"
                     )
-                threshold = pool[min(cutoff, len(pool)) - 1]
+                threshold = decode_key(wires[min(cutoff, len(wires)) - 1])
                 ctx.broadcast(t_thresh, encode_key(threshold))
                 yield
             elif byz is not None:
@@ -398,7 +399,7 @@ def knn_subroutine(
                 threshold = decode_key(msg.payload)
 
         # Stage 5: prune everything above r.
-        working = candidates[: _rank_leq(candidates, threshold)]
+        working = KeyIndex(candidates).prefix(threshold)
 
         # Safe mode: verify >= l candidates survived before selecting.
         if safe_mode:

@@ -57,7 +57,7 @@ from ..kmachine.byz import (
 )
 from ..kmachine.machine import MachineContext, Program
 from ..kmachine.schema import SuspicionNotice
-from ..points.ids import MINUS_INF_KEY, PLUS_INF_KEY, Keyed
+from ..points.ids import MINUS_INF_KEY, PLUS_INF_KEY, KeyIndex, Keyed, key_order
 from .leader import elect
 from .messages import OP_COUNT, OP_FINISHED, OP_INIT, OP_PICK, decode_key, encode_key, tag
 
@@ -110,61 +110,17 @@ class SelectionOutput:
     stats: SelectionStats | None = None
 
 
-def _local_extremes(keys: np.ndarray) -> tuple[int, Keyed, Keyed]:
-    """Count plus (min, max) keys of a structured array, with sentinels."""
-    n = len(keys)
-    if n == 0:
-        return 0, PLUS_INF_KEY, MINUS_INF_KEY
-    first, last = keys[0], keys[-1]
-    return n, Keyed(float(first["value"]), int(first["id"])), Keyed(
-        float(last["value"]), int(last["id"])
-    )
+def _rank_leq(keys: np.ndarray, bound: Keyed) -> int:
+    """|{x : x <= bound}| on a sorted structured array (one-off query).
+
+    The protocol roles build one :class:`KeyIndex` per run instead.
+    """
+    return KeyIndex(keys).rank(bound)
 
 
 def _count_in(keys: np.ndarray, lo: Keyed, hi: Keyed) -> int:
-    """|{x : lo < x <= hi}| on a sorted structured array, vectorized.
-
-    Lexicographic (value, id) comparison via searchsorted on the value
-    column refined by an ID scan only at the boundary values, so the
-    common case is two binary searches.
-    """
-    return _rank_leq(keys, hi) - _rank_leq(keys, lo)
-
-
-def _rank_leq(keys: np.ndarray, bound: Keyed) -> int:
-    """|{x : x <= bound}| on a sorted structured array."""
-    if len(keys) == 0:
-        return 0
-    if bound.value == np.inf:
-        return len(keys)
-    if bound.value == -np.inf:
-        return 0
-    values = keys["value"]
-    # All rows with value < bound.value are <= bound.
-    left = int(np.searchsorted(values, bound.value, side="left"))
-    right = int(np.searchsorted(values, bound.value, side="right"))
-    if left == right:
-        return left
-    # Rows with value == bound.value: include those with id <= bound.id.
-    ids = keys["id"][left:right]
-    return left + int(np.searchsorted(np.sort(ids), bound.id, side="right"))
-
-
-def _uniform_in_range(
-    keys: np.ndarray, lo: Keyed, hi: Keyed, rng: np.random.Generator
-) -> Keyed:
-    """A uniform random key strictly above ``lo`` and at most ``hi``."""
-    start = _rank_leq(keys, lo)
-    stop = _rank_leq(keys, hi)
-    if stop <= start:
-        raise ValueError("no points in range; leader accounting is wrong")
-    # keys is sorted by (value, id) except ties on value are unsorted by
-    # id within the value block; ranks are still consistent because the
-    # block membership is what matters for uniformity.
-    idx = start + int(rng.integers(0, stop - start))
-    block = keys[start:stop]
-    row = block[idx - start]
-    return Keyed(float(row["value"]), int(row["id"]))
+    """|{x : lo < x <= hi}| on a sorted structured array (one-off query)."""
+    return KeyIndex(keys).count(lo, hi)
 
 
 def selection_subroutine(
@@ -189,8 +145,10 @@ def selection_subroutine(
         Rank of the (already elected / known) leader.
     keys:
         This machine's local keys as a structured ``(value, id)``
-        array sorted by ``(value, id)`` — use
-        :func:`repro.points.ids.keyed_array`.
+        array (see :func:`repro.points.ids.keyed_array`).  They are
+        put in :func:`~repro.points.ids.key_order` once and indexed by
+        one :class:`~repro.points.ids.KeyIndex`, so every count, pivot
+        draw and prefix cut of the run is a bisect.
     l:
         How many globally smallest keys to select (``0 <= l``; if
         ``l`` is at least the global count, everything is selected).
@@ -240,34 +198,35 @@ def selection_subroutine(
         raise ValueError(f"l must be >= 0, got {l}")
     if slack < 0:
         raise ValueError(f"slack must be >= 0, got {slack}")
-    keys = np.sort(np.asarray(keys), order=("value", "id"))
+    keys = np.asarray(keys)
+    index = KeyIndex(keys[key_order(keys)])
     if lower_bound is not None:
         # Identical deterministic cut on every machine: drop keys
         # <= lower_bound so the run selects among the remainder only.
-        keys = keys[_rank_leq(keys, lower_bound):]
+        index = KeyIndex(index.array[index.rank(lower_bound):])
     t_query = tag(prefix, "q")
     t_reply = tag(prefix, "r")
 
     if byz is not None and ctx.k > 1:
         byz.validate(ctx.k)
         if ctx.rank == leader:
-            output = yield from _leader_role_byz(ctx, keys, l, prefix, slack, byz)
+            output = yield from _leader_role_byz(ctx, index, l, prefix, slack, byz)
         else:
-            output = yield from _worker_role_byz(ctx, leader, keys, prefix, byz)
+            output = yield from _worker_role_byz(ctx, leader, index, prefix, byz)
     elif ctx.rank == leader:
         output = yield from _leader_role(
-            ctx, keys, l, t_query, t_reply, slack, timeout_rounds
+            ctx, index, l, t_query, t_reply, slack, timeout_rounds
         )
     else:
         output = yield from _worker_role(
-            ctx, leader, keys, t_query, t_reply, timeout_rounds
+            ctx, leader, index, t_query, t_reply, timeout_rounds
         )
     return output
 
 
 def _leader_role(
     ctx: MachineContext,
-    keys: np.ndarray,
+    index: KeyIndex,
     l: int,
     t_query: str,
     t_reply: str,
@@ -286,7 +245,7 @@ def _leader_role(
             replies = []
         counts = np.zeros(k, dtype=np.int64)
         lo, hi = PLUS_INF_KEY, MINUS_INF_KEY
-        n_self, min_self, max_self = _local_extremes(keys)
+        n_self, min_self, max_self = index.extremes()
         counts[ctx.rank] = n_self
         lo = min(lo, min_self)
         hi = max(hi, max_self)
@@ -303,7 +262,7 @@ def _leader_role(
     if s <= remaining * (1.0 + slack) or s == 0:
         boundary = hi if s > 0 else MINUS_INF_KEY
         with ctx.obs.span("sel/finish"):
-            return (yield from _finish_leader(ctx, keys, boundary, t_query, stats))
+            return (yield from _finish_leader(ctx, index, boundary, t_query, stats))
 
     # Active range is (active_lo, active_hi]; everything <= active_lo is
     # already accepted (and subtracted from `remaining`).
@@ -320,7 +279,7 @@ def _leader_role(
             # --- pivot selection: machine i w.p. counts[i] / s ------------
             choice = int(ctx.rng.choice(k, p=counts / s))
             if choice == ctx.rank:
-                pivot = _uniform_in_range(keys, active_lo, active_hi, ctx.rng)
+                pivot = index.uniform(active_lo, active_hi, ctx.rng)
                 stats.self_pivots += 1
             else:
                 ctx.send(
@@ -339,7 +298,7 @@ def _leader_role(
                     t_query, (OP_COUNT, encode_key(active_lo), encode_key(pivot))
                 )
             below = np.zeros(k, dtype=np.int64)
-            below[ctx.rank] = _count_in(keys, active_lo, pivot)
+            below[ctx.rank] = index.count(active_lo, pivot)
             if k > 1:
                 replies = yield from ctx.recv(t_reply, k - 1, max_rounds=timeout_rounds)
                 for msg in replies:
@@ -366,12 +325,12 @@ def _leader_role(
                 boundary = active_hi
 
     with ctx.obs.span("sel/finish"):
-        return (yield from _finish_leader(ctx, keys, boundary, t_query, stats))
+        return (yield from _finish_leader(ctx, index, boundary, t_query, stats))
 
 
 def _finish_leader(
     ctx: MachineContext,
-    keys: np.ndarray,
+    index: KeyIndex,
     boundary: Keyed,
     t_query: str,
     stats: SelectionStats,
@@ -379,7 +338,7 @@ def _finish_leader(
     if ctx.k > 1:
         ctx.broadcast(t_query, (OP_FINISHED, encode_key(boundary)))
         yield  # the broadcast's round
-    selected = keys[: _rank_leq(keys, boundary)]
+    selected = index.prefix(boundary)
     return SelectionOutput(
         selected=selected, boundary=boundary, is_leader=True, stats=stats
     )
@@ -388,12 +347,12 @@ def _finish_leader(
 def _worker_role(
     ctx: MachineContext,
     leader: int,
-    keys: np.ndarray,
+    index: KeyIndex,
     t_query: str,
     t_reply: str,
     timeout_rounds: int | None = None,
 ) -> Generator[None, None, SelectionOutput]:
-    n, kmin, kmax = _local_extremes(keys)
+    n, kmin, kmax = index.extremes()
     with ctx.obs.span("sel/serve"):
         # lint: bound[log] — one op per leader iteration, O(log s) w.h.p.
         while True:
@@ -408,15 +367,15 @@ def _worker_role(
             elif op == OP_PICK:
                 lo = decode_key(msg.payload[1])
                 hi = decode_key(msg.payload[2])
-                pivot = _uniform_in_range(keys, lo, hi, ctx.rng)
+                pivot = index.uniform(lo, hi, ctx.rng)
                 ctx.send(leader, t_reply, (OP_PICK, encode_key(pivot)))
             elif op == OP_COUNT:
                 lo = decode_key(msg.payload[1])
                 p = decode_key(msg.payload[2])
-                ctx.send(leader, t_reply, (OP_COUNT, _count_in(keys, lo, p)))
+                ctx.send(leader, t_reply, (OP_COUNT, index.count(lo, p)))
             elif op == OP_FINISHED:
                 boundary = decode_key(msg.payload[1])
-                selected = keys[: _rank_leq(keys, boundary)]
+                selected = index.prefix(boundary)
                 return SelectionOutput(
                     selected=selected, boundary=boundary, is_leader=False, stats=None
                 )
@@ -478,7 +437,7 @@ def _validated_pivot(payload, lo: Keyed, hi: Keyed) -> Keyed | None:
 
 def _leader_role_byz(
     ctx: MachineContext,
-    keys: np.ndarray,
+    index: KeyIndex,
     l: int,
     prefix: str,
     slack: float,
@@ -503,7 +462,7 @@ def _leader_role_byz(
         ctx.broadcast(t_query, (OP_INIT,))
         resolved = yield from gather_quorum(ctx, cfg, t_gv(0), t_ge(0), tracker)
         counts = np.zeros(k, dtype=np.int64)
-        n_self, min_self, max_self = _local_extremes(keys)
+        n_self, min_self, max_self = index.extremes()
         counts[ctx.rank] = n_self
         lo, hi = min_self, max_self
         for j, payload in resolved.items():
@@ -527,7 +486,7 @@ def _leader_role_byz(
         stats.accepted_counts = accepted
         with ctx.obs.span("sel/finish"):
             return (
-                yield from _finish_leader_byz(ctx, keys, boundary, prefix, stats, cfg)
+                yield from _finish_leader_byz(ctx, index, boundary, prefix, stats, cfg)
             )
 
     active_lo = MINUS_INF_KEY
@@ -583,7 +542,7 @@ def _leader_role_byz(
             before = (active_lo, active_hi, s, remaining)
             if choice == ctx.rank:
                 try:
-                    pivot = _uniform_in_range(keys, active_lo, active_hi, ctx.rng)
+                    pivot = index.uniform(active_lo, active_hi, ctx.rng)
                 except ValueError:
                     # Own in-range count was poisoned by forged extremes;
                     # burn the iteration (the cap bounds the damage).
@@ -613,7 +572,7 @@ def _leader_role_byz(
                 ctx, cfg, t_gv(gather_idx), t_ge(gather_idx), tracker
             )
             below = np.zeros(k, dtype=np.int64)
-            below[ctx.rank] = _count_in(keys, active_lo, pivot)
+            below[ctx.rank] = index.count(active_lo, pivot)
             for j, payload in resolved.items():
                 count = _parse_count(payload)
                 if count is None:
@@ -651,12 +610,12 @@ def _leader_role_byz(
 
     stats.accepted_counts = accepted
     with ctx.obs.span("sel/finish"):
-        return (yield from _finish_leader_byz(ctx, keys, boundary, prefix, stats, cfg))
+        return (yield from _finish_leader_byz(ctx, index, boundary, prefix, stats, cfg))
 
 
 def _finish_leader_byz(
     ctx: MachineContext,
-    keys: np.ndarray,
+    index: KeyIndex,
     boundary: Keyed,
     prefix: str,
     stats: SelectionStats,
@@ -664,7 +623,7 @@ def _finish_leader_byz(
 ) -> Generator[None, None, SelectionOutput]:
     ctx.broadcast(tag(prefix, "q"), (OP_FINISHED, encode_key(boundary)))
     yield
-    selected = keys[: _rank_leq(keys, boundary)]
+    selected = index.prefix(boundary)
     return SelectionOutput(
         selected=selected, boundary=boundary, is_leader=True, stats=stats
     )
@@ -673,14 +632,14 @@ def _finish_leader_byz(
 def _worker_role_byz(
     ctx: MachineContext,
     leader: int,
-    keys: np.ndarray,
+    index: KeyIndex,
     prefix: str,
     cfg: ByzConfig,
 ) -> Generator[None, None, SelectionOutput]:
     tracker = suspicions(ctx)
     t_query = tag(prefix, "q")
     t_sus = tag(prefix, "sus")
-    n, kmin, kmax = _local_extremes(keys)
+    n, kmin, kmax = index.extremes()
     gather_idx = 0
     pending: deque = deque()
     waited = 0
@@ -723,7 +682,7 @@ def _worker_role_byz(
                     tracker.accuse(leader, "malformed pick request")
                     continue
                 try:
-                    pivot_wire = encode_key(_uniform_in_range(keys, lo, hi, ctx.rng))
+                    pivot_wire = encode_key(index.uniform(lo, hi, ctx.rng))
                 except ValueError:
                     # Nothing of mine in the (possibly forged) range; a
                     # None reply lets the leader strike rather than stall.
@@ -733,7 +692,7 @@ def _worker_role_byz(
                 try:
                     lo = decode_key(payload[1])
                     p = decode_key(payload[2])
-                    count = _count_in(keys, lo, p)
+                    count = index.count(lo, p)
                 except (TypeError, ValueError, IndexError):
                     tracker.accuse(leader, "malformed count request")
                     count = 0
@@ -762,7 +721,7 @@ def _worker_role_byz(
                 for msg in ctx.take(t_sus, src=leader):
                     if isinstance(msg.payload, SuspicionNotice):
                         tracker.fold_notice(msg.payload)
-                selected = keys[: _rank_leq(keys, boundary)]
+                selected = index.prefix(boundary)
                 return SelectionOutput(
                     selected=selected, boundary=boundary, is_leader=False, stats=None
                 )

@@ -26,12 +26,11 @@ import numpy as np
 
 from ..kmachine.machine import MachineContext, Program
 from ..points.dataset import Shard
-from ..points.ids import MINUS_INF_KEY, Keyed
+from ..points.ids import MINUS_INF_KEY, KeyIndex, Keyed, key_order
 from ..points.metrics import Metric, get_metric
 from .knn import KNNOutput, local_candidates
 from .leader import elect
 from .messages import decode_key, encode_key, tag
-from .selection import _rank_leq
 
 __all__ = ["SimpleKNNProgram", "simple_knn_subroutine"]
 
@@ -87,7 +86,7 @@ def simple_knn_subroutine(
         with ctx.obs.span("boundary"):
             msg = yield from ctx.recv_one(t_done, src=leader)
             boundary = decode_key(msg.payload)
-        local = candidates[: _rank_leq(candidates, boundary)]
+        local = KeyIndex(candidates).prefix(boundary)
         return _build_output(shard, local, boundary, False, None)
 
     # Leader: gather counts, then the announced number of candidates.
@@ -103,7 +102,7 @@ def simple_knn_subroutine(
         # The leader-side merge: select the l smallest of the k*l keys.
         # This O(kl) scan + partial sort is the simple method's local
         # bottleneck, deliberately kept on the leader's clock.
-        merged.sort(order=("value", "id"))
+        merged = merged[key_order(merged)]
         top = merged[: min(l, len(merged))]
         boundary = (
             Keyed(float(top[-1]["value"]), int(top[-1]["id"]))
@@ -113,7 +112,7 @@ def simple_knn_subroutine(
     with ctx.obs.span("boundary"):
         ctx.broadcast(t_done, encode_key(boundary))
         yield
-    local = candidates[: _rank_leq(candidates, boundary)]
+    local = KeyIndex(candidates).prefix(boundary)
     return _build_output(shard, local, boundary, True, len(merged))
 
 

@@ -12,7 +12,10 @@ simulator enforced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .message import Message
 
 __all__ = ["RoundRecord", "Metrics"]
 
@@ -157,6 +160,33 @@ class Metrics:
             link = (src, dst)
             self.per_link_messages[link] = self.per_link_messages.get(link, 0) + 1
             self.per_link_bits[link] = self.per_link_bits.get(link, 0) + bits
+
+    def record_sends(self, msgs: Sequence[Message], links: bool = False) -> int:
+        """Account a round's messages entering the network; return their bits.
+
+        Equivalent to one :meth:`record_send` per message (with
+        ``src``/``dst`` when ``links`` is set, as a profiling simulator
+        does), but totals are added once per round.
+        """
+        tag_messages = self.per_tag_messages
+        tag_bits = self.per_tag_bits
+        total = 0
+        for msg in msgs:
+            tag = msg.tag
+            bits = msg.bits
+            total += bits
+            tag_messages[tag] = tag_messages.get(tag, 0) + 1
+            tag_bits[tag] = tag_bits.get(tag, 0) + bits
+        if links:
+            link_messages = self.per_link_messages
+            link_bits = self.per_link_bits
+            for msg in msgs:
+                link = (msg.src, msg.dst)
+                link_messages[link] = link_messages.get(link, 0) + 1
+                link_bits[link] = link_bits.get(link, 0) + msg.bits
+        self.messages += len(msgs)
+        self.bits += total
+        return total
 
     # ------------------------------------------------------------------
     # link-level views (profiled runs only; empty maps degrade to {})

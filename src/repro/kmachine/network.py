@@ -61,15 +61,18 @@ class _Link:
 
     ``bits`` is the total not yet transmitted across the queue and
     ``head_sent`` the bits of ``queue[0]`` already on the wire, so the
-    head's remaining bits are ``queue[0].bits - head_sent``.
+    head's remaining bits are ``queue[0].bits - head_sent``.  ``stats``
+    is the link's entry in :attr:`Network.link_stats`, held here so
+    the per-message path does one dict lookup.
     """
 
-    __slots__ = ("queue", "bits", "head_sent")
+    __slots__ = ("queue", "bits", "head_sent", "stats")
 
-    def __init__(self) -> None:
+    def __init__(self, stats: LinkStats) -> None:
         self.queue: deque[Message] = deque()
         self.bits = 0
         self.head_sent = 0
+        self.stats = stats
 
 
 class Network:
@@ -168,7 +171,10 @@ class Network:
         key = (msg.src, msg.dst)
         link = self._links.get(key)
         if link is None:
-            link = self._links[key] = _Link()
+            stats = self.link_stats.get(key)
+            if stats is None:
+                stats = self.link_stats[key] = LinkStats()
+            link = self._links[key] = _Link(stats)
         queue = link.queue
         queue.append(msg)
         if (
@@ -181,9 +187,7 @@ class Network:
             queue[-1], queue[-2] = queue[-2], queue[-1]
         bits = msg.bits
         link.bits += bits
-        stats = self.link_stats.get(key)
-        if stats is None:
-            stats = self.link_stats[key] = LinkStats()
+        stats = link.stats
         stats.messages += 1
         stats.bits += bits
         if len(queue) > stats.max_queue_messages:
@@ -213,7 +217,7 @@ class Network:
         for key in sorted(key for key, link in self._links.items() if link.queue):
             link = self._links[key]
             queue = link.queue
-            self.link_stats[key].busy_rounds += 1
+            link.stats.busy_rounds += 1
             budget = bandwidth
             sent = link.head_sent
             link_bits = 0
@@ -303,7 +307,7 @@ class Network:
             if not link.queue:
                 continue
             dropped.extend(link.queue)
-            self.link_stats.setdefault(key, LinkStats()).dropped += len(link.queue)
+            link.stats.dropped += len(link.queue)
             self._in_flight -= len(link.queue)
             self._queued_bits -= link.bits
             link.queue.clear()

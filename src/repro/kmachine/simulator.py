@@ -422,30 +422,31 @@ class Simulator:
                     if self.measure_compute:
                         compute_max = max(compute_max, time.perf_counter() - started)
 
-                # 3. submit this round's sends to the network (halted
-                # machines may still drain reliability retransmissions)
-                sent_msgs = 0
-                sent_bits = 0
+                # 3. submit this round's sends to the network.  Every live
+                # context drains, halted or with an empty outbox: a
+                # reliable context queues its retransmissions in the drain.
+                # The accepted sends are accounted once per round, also
+                # when a submit or drain raises part-way.
                 profiling = self.profile
-                for rank, ctx in enumerate(self.contexts):
-                    if rank in self.crashed_ranks:
-                        continue
-                    ctx.round = round_idx
-                    for msg in ctx.drain_outbox():
-                        self.network.submit(msg)
-                        if profiling:
-                            metrics.record_send(
-                                msg.tag, msg.bits, src=msg.src, dst=msg.dst
-                            )
-                        else:
-                            metrics.record_send(msg.tag, msg.bits)
-                        sent_msgs += 1
-                        sent_bits += msg.bits
-                        if self.tracer.enabled:
-                            self.tracer.record(
-                                round_idx, "send", machine=msg.src, dst=msg.dst,
-                                tag=msg.tag,
-                            )
+                submit = self.network.submit
+                tracing = self.tracer.enabled
+                sent: list[Message] = []
+                try:
+                    for rank, ctx in enumerate(self.contexts):
+                        if rank in self.crashed_ranks:
+                            continue
+                        ctx.round = round_idx
+                        for msg in ctx.drain_outbox():
+                            submit(msg)
+                            sent.append(msg)
+                            if tracing:
+                                self.tracer.record(
+                                    round_idx, "send", machine=msg.src, dst=msg.dst,
+                                    tag=msg.tag,
+                                )
+                finally:
+                    sent_bits = metrics.record_sends(sent, links=profiling)
+                sent_msgs = len(sent)
 
                 queued_before_step = self.network.in_flight() > 0
                 deliveries = self.network.step()

@@ -17,11 +17,21 @@ every comparison in the selection protocols.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Iterable
 
 import numpy as np
 
-__all__ = ["draw_unique_ids", "id_space", "Keyed", "keyed_array", "MINUS_INF_KEY", "PLUS_INF_KEY"]
+__all__ = [
+    "draw_unique_ids",
+    "id_space",
+    "Keyed",
+    "KeyIndex",
+    "key_order",
+    "keyed_array",
+    "MINUS_INF_KEY",
+    "PLUS_INF_KEY",
+]
 
 
 def id_space(n_total: int) -> int:
@@ -105,10 +115,10 @@ class Keyed:
         return (self.value, self.id)
 
     def __lt__(self, other: "Keyed") -> bool:
-        return self.as_tuple() < other.as_tuple()
+        return (self.value, self.id) < (other.value, other.id)
 
     def __le__(self, other: "Keyed") -> bool:
-        return self.as_tuple() <= other.as_tuple()
+        return (self.value, self.id) <= (other.value, other.id)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Keyed) and self.as_tuple() == other.as_tuple()
@@ -125,12 +135,23 @@ MINUS_INF_KEY = Keyed(-np.inf, 0)
 PLUS_INF_KEY = Keyed(np.inf, np.iinfo(np.int64).max)
 
 
+def key_order(keys: np.ndarray) -> np.ndarray:
+    """Indices that sort a ``(value, id)`` table lexicographically.
+
+    ``np.lexsort`` on the two columns is several times faster than
+    sorting the structured array by its fields, and yields the same
+    order whenever ids are unique within the table, which every
+    protocol table guarantees.
+    """
+    return np.lexsort((keys["id"], keys["value"]))
+
+
 def keyed_array(values: Iterable[float], ids: Iterable[int]) -> np.ndarray:
     """Build a structured array of ``(value, id)`` rows sorted lexicographically.
 
-    The protocols keep per-machine candidate sets in this layout so
-    range counting is a vectorized comparison instead of a Python loop.
-    Fields: ``value`` (f8), ``id`` (i8).
+    The protocols keep per-machine candidate sets in this layout and
+    answer rank queries on it through a :class:`KeyIndex`.
+    Fields: ``value`` (f8), ``id`` (i8); rows in :func:`key_order`.
     """
     vals = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
                       dtype=np.float64)
@@ -141,5 +162,67 @@ def keyed_array(values: Iterable[float], ids: Iterable[int]) -> np.ndarray:
     out = np.empty(vals.shape[0], dtype=[("value", "f8"), ("id", "i8")])
     out["value"] = vals
     out["id"] = idarr
-    out.sort(order=("value", "id"))
-    return out
+    return out[key_order(out)]
+
+
+class KeyIndex:
+    """Rank queries over one machine's sorted keys.
+
+    Built once per protocol run from a structured ``(value, id)`` array
+    already in :func:`key_order`.  The protocols ask O(log n) questions
+    of a handful of keys each, so every query is a ``bisect`` over a
+    Python list of the values — a NumPy call on a small array costs more
+    in dispatch than the search itself.  Ids are consulted only inside a
+    block of equal values.
+    """
+
+    __slots__ = ("array", "values", "ids")
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+        self.values: list[float] = array["value"].tolist()
+        self.ids: np.ndarray = array["id"]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def at(self, i: int) -> Keyed:
+        """The key in row ``i``."""
+        return Keyed(self.values[i], int(self.ids[i]))
+
+    def rank(self, bound: Keyed) -> int:
+        """|{x : x <= bound}|."""
+        values = self.values
+        value = bound.value
+        r = bisect_right(values, value)
+        if r and values[r - 1] == value:
+            left = bisect_left(values, value, 0, r)
+            return left + int(np.searchsorted(self.ids[left:r], bound.id, side="right"))
+        return r
+
+    def count(self, lo: Keyed, hi: Keyed) -> int:
+        """|{x : lo < x <= hi}|."""
+        return self.rank(hi) - self.rank(lo)
+
+    def prefix(self, bound: Keyed) -> np.ndarray:
+        """The rows ``<= bound``, as a view of the array."""
+        return self.array[: self.rank(bound)]
+
+    def extremes(self) -> tuple[int, Keyed, Keyed]:
+        """Count plus (min, max) keys, with sentinels when empty."""
+        n = len(self.values)
+        if n == 0:
+            return 0, PLUS_INF_KEY, MINUS_INF_KEY
+        return n, self.at(0), self.at(n - 1)
+
+    def uniform(self, lo: Keyed, hi: Keyed, rng: np.random.Generator) -> Keyed:
+        """A uniform random key strictly above ``lo`` and at most ``hi``.
+
+        Draws exactly one ``rng.integers(0, count)``; raises
+        ``ValueError`` when the range holds no key.
+        """
+        start = self.rank(lo)
+        stop = self.rank(hi)
+        if stop <= start:
+            raise ValueError("no points in range; leader accounting is wrong")
+        return self.at(start + int(rng.integers(0, stop - start)))

@@ -45,6 +45,7 @@ import numpy as np
 from ..core.messages import tag
 from ..kmachine.machine import MachineContext, Program
 from ..kmachine.schema import PointBatch
+from ..points.ids import key_order
 from ..points.metrics import Metric, get_metric
 
 __all__ = ["ApproxAnswer", "ApproxServeProgram", "RoutingTable", "routing_from_shards"]
@@ -314,7 +315,7 @@ class ApproxServeProgram(Program):
         table = np.empty(len(ids), dtype=[("value", "f8"), ("id", "i8")])
         table["value"] = dist
         table["id"] = ids
-        order = np.argsort(table, order=("value", "id"))[: self.l]
+        order = key_order(table)[: self.l]
         return ApproxAnswer(
             ids=ids[order].copy(),
             distances=dist[order].copy(),

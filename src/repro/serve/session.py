@@ -57,7 +57,7 @@ from ..kmachine.faults import ByzantinePlan
 from ..kmachine.machine import MachineContext, Program, Wait
 from ..kmachine.metrics import Metrics
 from ..points.dataset import Dataset, make_dataset
-from ..points.ids import Keyed, draw_unique_ids
+from ..points.ids import Keyed, draw_unique_ids, key_order
 from ..points.metrics import Metric, get_metric
 from ..points.partition import shard_dataset
 from .approx import ApproxServeProgram, RoutingTable, routing_from_shards
@@ -616,7 +616,7 @@ class ClusterSession:
                 if out.labels is not None:
                     label_parts.append(out.labels)
             table = np.concatenate(table_parts)
-            order = np.argsort(table, order=("value", "id"))
+            order = key_order(table)
             boundary = (
                 leader_out.boundary
                 if leader_out is not None
